@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"ringsched/internal/cli"
+	"ringsched/internal/engine"
 	"ringsched/internal/experiment"
 	"ringsched/internal/metrics"
 	"ringsched/internal/opt"
@@ -62,8 +63,8 @@ func run(args []string, out, errw io.Writer) error {
 	traceOut := fs.String("trace-out", "", "write every run's event trace and metrics as JSONL to this file")
 	spansOut := fs.String("spans-out", "", "write one ringsched.span/v1 JSONL record per case (run + solver timings) to this file")
 	faults := fs.String("faults", "", `fault-injection "seed:spec" applied to every run, e.g. 7:loss=0.1,crashes=2 (see README)`)
-	engine := fs.String("engine", "pool", `simulation engine: "pool" or "bigring" (allocation-free flat-array engine; unit-job fault-free cases only, no -trace-out/-faults)`)
-	engineWorkers := fs.Int("engine-workers", 0, "bigring only: ring spans stepped in parallel per run; -workers × -engine-workers is capped at GOMAXPROCS (suite concurrency wins the cores, engine spans take what's left), so the two flags never oversubscribe the box")
+	engineName := fs.String("engine", "pool", "simulation engine: "+engine.Names()+" (an option or case outside the engine's domain is refused)")
+	engineWorkers := fs.Int("engine-workers", 0, "huge-ring engine only: ring spans stepped in parallel per run; -workers × -engine-workers is capped at GOMAXPROCS (suite concurrency wins the cores, engine spans take what's left), so the two flags never oversubscribe the box")
 	progress := fs.Bool("progress", false, "live suite status line (cases done / deadline hits / elapsed) on stderr")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address, e.g. localhost:6060")
 	if err := fs.Parse(args); err != nil {
@@ -114,7 +115,7 @@ func run(args []string, out, errw io.Writer) error {
 		Workers:       *workers,
 		SuiteDeadline: *suiteDeadline,
 		Faults:        *faults,
-		Engine:        *engine,
+		Engine:        *engineName,
 		EngineWorkers: *engineWorkers,
 	}
 	if *algs != "" {

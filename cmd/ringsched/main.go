@@ -23,8 +23,8 @@ import (
 	"os"
 
 	"ringsched"
-	"ringsched/internal/capring"
 	"ringsched/internal/cli"
+	"ringsched/internal/engine"
 	"ringsched/internal/stats"
 )
 
@@ -41,8 +41,8 @@ func run(args []string, out, errw io.Writer) error {
 	loads := fs.String("loads", "", "inline comma-separated unit loads, e.g. 100,0,0,25")
 	caseID := fs.String("case", "", "Table 1 case id, e.g. I-m100-point-huge")
 	algName := fs.String("alg", "C1", "algorithm: A1,B1,C1,A2,B2,C2 or cap (§7, unit-capacity links)")
-	engine := fs.String("engine", "pool", `engine: "pool" (general-purpose) or "bigring" (allocation-free flat-array engine for huge unit-job rings; no faults, capacities, traces or -distributed)`)
-	engineWorkers := fs.Int("engine-workers", 0, "bigring only: ring spans stepped in parallel (0 = GOMAXPROCS on huge rings, sequential otherwise; results identical at any count)")
+	engineName := fs.String("engine", "pool", "compute engine: "+engine.Names()+" (a run outside the engine's domain is refused)")
+	engineWorkers := fs.Int("engine-workers", 0, "huge-ring engine only: ring spans stepped in parallel (0 = GOMAXPROCS on huge rings, sequential otherwise; results identical at any count)")
 	showOpt := fs.Bool("opt", false, "also compute the exact optimum / lower bound")
 	gantt := fs.Bool("gantt", false, "print a utilization heat map of the schedule")
 	distributed := fs.Bool("distributed", false, "run on the goroutine-per-processor runtime")
@@ -68,42 +68,25 @@ func run(args []string, out, errw io.Writer) error {
 		return err
 	}
 
-	var alg ringsched.Algorithm
-	var spec ringsched.Spec
-	opts := ringsched.Options{Record: *gantt || *traceOut != ""}
-	if *algName == "cap" {
-		alg = capring.Algorithm{}
-		opts.LinkCapacity = 1
-	} else {
-		spec, err = ringsched.AlgorithmByName(*algName)
-		if err != nil {
-			return err
-		}
-		alg = spec
+	alg, opts, err := engine.Static(*algName)
+	if err != nil {
+		return err
 	}
+	opts.Record = *gantt || *traceOut != ""
 
-	// The big-ring engine trades generality for scale: it runs only the
-	// bucket algorithms on fault-free unit instances and records no
-	// event trace, so every feature it cannot reproduce exactly is
-	// refused up front rather than silently ignored.
-	switch *engine {
-	case "pool":
-		if *engineWorkers != 0 {
-			return fmt.Errorf("-engine-workers applies only to -engine=bigring")
-		}
-	case "bigring":
-		switch {
-		case *algName == "cap":
-			return fmt.Errorf("-engine=bigring supports only the bucket algorithms (A1..C2), not cap")
-		case *faults != "":
-			return fmt.Errorf("-engine=bigring does not support -faults; use the pool engine")
-		case *distributed:
-			return fmt.Errorf("-engine=bigring is incompatible with -distributed")
-		case *gantt || *traceOut != "":
-			return fmt.Errorf("-engine=bigring records no event trace; -gantt and -trace-out need the pool engine")
-		}
-	default:
-		return fmt.Errorf("unknown -engine %q (want pool or bigring)", *engine)
+	// Every feature the engine cannot reproduce exactly is refused up
+	// front rather than silently ignored. -distributed replaces the
+	// default engine with the goroutine runtime, so it takes no other.
+	shape := engine.Shape{Algorithm: *algName, M: in.M, Unit: in.IsUnit(), Faults: *faults != "", Trace: opts.Record}
+	eng, err := engine.Resolve(*engineName, shape, 0)
+	if err != nil {
+		return err
+	}
+	if def, _ := engine.Resolve("", shape, 0); *distributed && eng != def {
+		return fmt.Errorf("-engine=%s is incompatible with -distributed", eng.Name)
+	}
+	if *engineWorkers != 0 && !eng.Huge {
+		return fmt.Errorf("-engine-workers does not apply to -engine=%s", eng.Name)
 	}
 
 	// Fault injection: bind the seeded plane to this ring, wrap the
@@ -128,9 +111,8 @@ func run(args []string, out, errw io.Writer) error {
 	var collectors []ringsched.Collector
 	if *showMetrics || *traceOut != "" {
 		// On big-ring-scale instances the collector's per-step Gini sort
-		// (O(m log m)) would cost more than the engine step itself.
-		skipGini := *engine == "bigring" && in.M >= 100_000
-		rm = ringsched.NewRingMetrics(ringsched.MetricsOpts{Series: *traceOut != "", SkipGini: skipGini})
+		// (O(m log m)) would cost more than any engine's step.
+		rm = ringsched.NewRingMetrics(ringsched.MetricsOpts{Series: *traceOut != "", SkipGini: in.M >= 100_000})
 		collectors = append(collectors, rm)
 	}
 	if *progress {
@@ -139,19 +121,6 @@ func run(args []string, out, errw io.Writer) error {
 	opts.Collector = ringsched.MultiCollector(collectors...)
 
 	fmt.Fprintf(out, "instance: %v   lower bound: %d\n", in, ringsched.LowerBound(in))
-
-	if *engine == "bigring" {
-		res, err := ringsched.ScheduleBigRing(in, spec, ringsched.BigRingOptions{Collector: opts.Collector, Workers: *engineWorkers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%s (big-ring engine): makespan=%d steps=%d jobhops=%d messages=%d utilization=%.1f%%\n",
-			res.Algorithm, res.Makespan, res.Steps, res.JobHops, res.Messages, 100*res.Utilization())
-		if err := emitObservability(out, rm, *showMetrics, "", *caseID, nil); err != nil {
-			return err
-		}
-		return maybeOpt(out, in, *showOpt, *algName, res.Makespan)
-	}
 
 	if *distributed {
 		dopts := ringsched.DistOptions{Collector: opts.Collector}
@@ -173,7 +142,7 @@ func run(args []string, out, errw io.Writer) error {
 		return maybeOpt(out, in, *showOpt, *algName, res.Makespan)
 	}
 
-	res, err := ringsched.Schedule(in, alg, opts)
+	res, err := eng.Run(in, alg, opts, *engineWorkers)
 	if err != nil {
 		return err
 	}

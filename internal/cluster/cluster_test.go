@@ -171,16 +171,6 @@ func liveNodes(t *testing.T, count int, scfg serve.Config) []*testNode {
 	return out
 }
 
-// scheduleKey mirrors the serve layer's cache identity for a plain
-// /v1/schedule request (no options, no arrivals, pool engine). It must
-// stay byte-identical to the key handleSchedule builds: a drifted
-// mirror makes peerOwnedInstance pick instances whose real owner is a
-// coin flip, and the forwarding assertions below turn flaky.
-func scheduleKey(in instance.Instance, alg string) string {
-	return fmt.Sprintf("schedule|%s|%s|steps=0|dist=false|bidir=false|mig=0|engine=pool",
-		in.Canonical().Fingerprint().String(), alg)
-}
-
 func schedulePost(t *testing.T, base string, in instance.Instance, alg string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(serve.ScheduleRequest{Instance: in, Algorithm: alg})
@@ -215,7 +205,13 @@ func peerOwnedInstance(t *testing.T, home *Node, alg string) instance.Instance {
 		works[0] = int64(m * 3)
 		works[1] = 7
 		cand := instance.NewUnit(works)
-		if home.Owner(scheduleKey(cand, alg)) != home.cfg.Self {
+		// The key the serve layer builds for this request: a hand-made
+		// copy drifts, and then the owner picked here is a coin flip.
+		key, err := home.Server().ScheduleKey(serve.ScheduleRequest{Instance: cand, Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home.Owner(key) != home.cfg.Self {
 			return cand
 		}
 	}

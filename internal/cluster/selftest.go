@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"ringsched/internal/engine"
 	"ringsched/internal/instance"
 	"ringsched/internal/metrics"
 	"ringsched/internal/serve"
@@ -355,18 +356,19 @@ func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 		if err := json.Unmarshal(res.Body, &resp); err != nil {
 			return fmt.Errorf("cluster: selftest huge instance: decode: %w", err)
 		}
-		if resp.Engine != "bigring" {
-			return fmt.Errorf("cluster: selftest huge instance (m=%d) ran engine=%q, want bigring", opts.HugeM, resp.Engine)
+		huge, _ := engine.Resolve("", engine.Shape{Algorithm: "C1", M: opts.HugeM, Unit: true}, opts.HugeM)
+		if resp.Engine != huge.Name {
+			return fmt.Errorf("cluster: selftest huge instance (m=%d) ran engine=%q, want %s", opts.HugeM, resp.Engine, huge.Name)
 		}
 		var big int64
 		for _, sn := range nodes {
-			big += sn.node.Server().Stats().ComputesBigring
+			big += sn.node.Server().EngineComputes()[huge.Name]
 		}
 		if big < 1 {
-			return fmt.Errorf("cluster: selftest huge instance did not register a bigring compute")
+			return fmt.Errorf("cluster: selftest huge instance did not register a %s compute", huge.Name)
 		}
-		fmt.Fprintf(out, "  bigring     m=%d engine=%s makespan=%d (cluster bigring computes %d)\n",
-			opts.HugeM, resp.Engine, resp.Makespan, big)
+		fmt.Fprintf(out, "  %-11s m=%d engine=%s makespan=%d (cluster %s computes %d)\n",
+			huge.Name, opts.HugeM, resp.Engine, resp.Makespan, huge.Name, big)
 	}
 	fmt.Fprintf(out, "  drain       clean\n")
 	return nil

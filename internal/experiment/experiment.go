@@ -19,9 +19,10 @@ import (
 	"sync"
 	"time"
 
-	"ringsched/internal/bigring"
 	"ringsched/internal/bucket"
+	"ringsched/internal/engine"
 	"ringsched/internal/fault"
+	"ringsched/internal/lb"
 	"ringsched/internal/metrics"
 	"ringsched/internal/opt"
 	"ringsched/internal/sim"
@@ -154,14 +155,13 @@ type Options struct {
 	// bind (e.g. more crash-stops than the case's ring tolerates), are
 	// recorded as per-run errors.
 	Faults string
-	// Engine selects the simulation engine: "" or "pool" for the
-	// general-purpose pool engine; "bigring" for the allocation-free
-	// flat-array engine in internal/bigring (bit-identical results on
-	// unit-job fault-free cases, built for m = 10^6+ rings).
-	// Incompatible with TraceOut (bigring records no event trace) and
-	// Faults; sized cases are recorded as per-run errors.
+	// Engine names the simulation engine from internal/engine's
+	// registry; "" picks the general-purpose one. Options the engine
+	// cannot honor for any case (TraceOut, Faults) fail the suite up
+	// front; cases outside its domain (sized jobs on a unit-only
+	// engine) are recorded as per-run errors.
 	Engine string
-	// EngineWorkers is the bigring engine's per-run span parallelism
+	// EngineWorkers is the huge-ring engine's per-run span parallelism
 	// (bigring.Options.Workers). Suite workers and engine workers
 	// multiply, so the effective per-run value is capped at
 	// max(1, GOMAXPROCS / suite workers): a saturated suite steps each
@@ -206,6 +206,11 @@ func (o Options) optLimits() opt.Limits {
 		l.Deadline = 15 * time.Second
 	}
 	return l
+}
+
+// shape is the engine-domain shape of one run of algorithm alg.
+func (o Options) shape(alg string, unit bool) engine.Shape {
+	return engine.Shape{Algorithm: alg, Unit: unit, Faults: o.Faults != "", Trace: o.TraceOut != nil}
 }
 
 func (o Options) workers() int {
@@ -265,24 +270,15 @@ type caseOutcome struct {
 // Simulation runs themselves are not interrupted (they are cheap next to
 // the solver), so a cancelled suite still returns a complete report.
 func RunSuiteContext(ctx context.Context, cases []workload.Case, o Options) (Report, error) {
-	switch o.Engine {
-	case "", "pool":
-	case "bigring":
-		if o.TraceOut != nil {
-			return Report{}, fmt.Errorf("experiment: the bigring engine records no event trace; TraceOut needs the pool engine")
-		}
-		if o.Faults != "" {
-			return Report{}, fmt.Errorf("experiment: the bigring engine does not support fault injection")
-		}
-	default:
-		return Report{}, fmt.Errorf("experiment: unknown engine %q (want pool or bigring)", o.Engine)
-	}
 	started := time.Now()
 	specs := make(map[string]bucket.Spec, len(o.algorithms()))
 	for _, name := range o.algorithms() {
 		spec, err := bucket.ByName(name)
 		if err != nil {
 			return Report{}, err
+		}
+		if _, err := engine.Resolve(o.Engine, o.shape(name, true), 0); err != nil {
+			return Report{}, fmt.Errorf("experiment: %w", err)
 		}
 		specs[name] = spec
 	}
@@ -457,22 +453,17 @@ func runCase(c workload.Case, algorithms []string, specs map[string]bucket.Spec,
 			alg = fault.Robust(alg, pl, fault.Protocol{})
 			simOpts.Faults = pl
 		}
-		runStart := time.Now()
-		var res sim.Result
-		var err error
-		if o.Engine == "bigring" {
-			res, err = bigring.Run(c.In, specs[name], bigring.Options{Collector: simOpts.Collector, Workers: o.engineWorkers()})
-		} else {
-			res, err = sim.Run(c.In, alg, simOpts)
+		eng, err := engine.Resolve(o.Engine, o.shape(name, c.In.IsUnit()), 0)
+		if err != nil {
+			// Outside the engine's domain (sized jobs): a per-run result
+			// on mixed suites, not a suite failure.
+			cr.Runs[name] = Run{Err: err.Error()}
+			continue
 		}
+		runStart := time.Now()
+		res, err := eng.Run(c.In, alg, simOpts, o.engineWorkers())
 		tr.Add(name, "", runStart, time.Since(runStart))
 		if err != nil {
-			if errors.Is(err, bigring.ErrUnsupported) {
-				// Outside the flat-array engine's domain (sized jobs):
-				// a per-run result on mixed suites, not a suite failure.
-				cr.Runs[name] = Run{Err: err.Error()}
-				continue
-			}
 			if errors.Is(err, sim.ErrNotQuiescent) {
 				// MaxSteps exhaustion is a result, not a suite failure:
 				// record it so the report can show which case/algorithm
@@ -529,7 +520,13 @@ func runCase(c workload.Case, algorithms []string, specs map[string]bucket.Spec,
 		lim.UpperHint = best
 	}
 	solveStart := time.Now()
-	cr.Opt = opt.Uncapacitated(c.In, lim)
+	if c.In.IsUnit() {
+		cr.Opt = opt.Uncapacitated(c.In, lim)
+	} else {
+		// The exact solver takes unit jobs only (sized scheduling is
+		// NP-hard already on one machine): score against the bound.
+		cr.Opt = opt.Result{Length: lb.Best(c.In), Method: "lb-fallback"}
+	}
 	tr.Add("solver", "", solveStart, time.Since(solveStart))
 	if tr != nil {
 		rec := tr.Record(c.ID, "suite-case")

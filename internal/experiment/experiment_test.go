@@ -342,3 +342,55 @@ func TestRunSuiteFaultBindErrorPerCase(t *testing.T) {
 		t.Error("report JSON missing err field")
 	}
 }
+
+// TestRunSuiteEngine pins Options.Engine against the registry: the
+// huge-ring engine reproduces the pool engine's runs, options it cannot
+// honor for any case fail the suite up front, and a sized case it cannot
+// run is a per-run error while the pool engine runs it and scores it
+// against the certified bound.
+func TestRunSuiteEngine(t *testing.T) {
+	cases := smallSuite(t)[:3]
+	pool, err := RunSuite(cases, Options{Algorithms: []string{"C1", "A2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := RunSuite(cases, Options{Algorithms: []string{"C1", "A2"}, Engine: "bigring", EngineWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cr := range pool.Cases {
+		for name, want := range cr.Runs {
+			got := big.Cases[i].Runs[name]
+			if got.Err != "" || got.Makespan != want.Makespan || got.JobHops != want.JobHops || got.Messages != want.Messages {
+				t.Errorf("case %s, %s: bigring %+v, pool %+v", cr.ID, name, got, want)
+			}
+		}
+	}
+
+	for _, o := range []Options{
+		{Engine: "bigring", TraceOut: new(strings.Builder)},
+		{Engine: "bigring", Faults: "7:loss=0.1"},
+		{Engine: "warp"},
+	} {
+		o.Algorithms = []string{"C1"}
+		if _, err := RunSuite(cases, o); err == nil {
+			t.Errorf("options %+v accepted", o)
+		}
+	}
+
+	sized := []workload.Case{{ID: "sized-m4", Group: "structured", In: instance.NewSized([][]int64{{2, 3}, nil, nil, {1}})}}
+	rep, err := RunSuite(sized, Options{Algorithms: []string{"C1"}, Engine: "bigring"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run := rep.Cases[0].Runs["C1"]; run.Err == "" {
+		t.Errorf("sized case on bigring ran: %+v", run)
+	}
+	rep, err = RunSuite(sized, Options{Algorithms: []string{"C1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr := rep.Cases[0]; cr.Runs["C1"].Err != "" || cr.Opt.Exact || cr.Opt.Length < 3 {
+		t.Errorf("sized case on pool: %+v, opt %+v", cr.Runs["C1"], cr.Opt)
+	}
+}

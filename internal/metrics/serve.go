@@ -20,8 +20,6 @@ type ServeStats struct {
 	panicked   atomic.Int64 // worker panics isolated to one request
 	badRequest atomic.Int64 // malformed requests refused with 4xx
 	computes   atomic.Int64 // engine/solver runs actually executed on the pool
-	bigring    atomic.Int64 // subset of computes that ran the big-ring engine
-	onlineEng  atomic.Int64 // subset of computes that stepped a session's online engine
 	coalesced  atomic.Int64 // requests that shared another in-flight computation
 	peerServed atomic.Int64 // requests answered on behalf of a cluster peer
 
@@ -62,16 +60,6 @@ func (s *ServeStats) BadRequest() { s.badRequest.Add(1) }
 // computations performed).
 func (s *ServeStats) Compute() { s.computes.Add(1) }
 
-// ComputeBigring records that a counted compute ran on the big-ring
-// engine rather than the pool engine (always paired with Compute; the
-// pool-engine count is Computes − ComputesBigring).
-func (s *ServeStats) ComputeBigring() { s.bigring.Add(1) }
-
-// ComputeOnline records that a counted compute stepped a streaming
-// session's resumable online engine (always paired with Compute; the
-// pool-engine count is Computes − ComputesBigring − ComputesOnline).
-func (s *ServeStats) ComputeOnline() { s.onlineEng.Add(1) }
-
 // SessionCreated records one streaming scheduling session created.
 func (s *ServeStats) SessionCreated() { s.sessions.Add(1) }
 
@@ -100,8 +88,6 @@ type ServeSnapshot struct {
 	Panics          int64 `json:"panics"`
 	BadRequests     int64 `json:"badRequests"`
 	Computes        int64 `json:"computes"`
-	ComputesBigring int64 `json:"computesBigring"`
-	ComputesOnline  int64 `json:"computesOnline"`
 	Coalesced       int64 `json:"coalesced"`
 	PeerServed      int64 `json:"peerServed"`
 	SessionsCreated int64 `json:"sessionsCreated"`
@@ -130,8 +116,6 @@ func (s *ServeStats) Snapshot() ServeSnapshot {
 		Panics:          s.panicked.Load(),
 		BadRequests:     s.badRequest.Load(),
 		Computes:        s.computes.Load(),
-		ComputesBigring: s.bigring.Load(),
-		ComputesOnline:  s.onlineEng.Load(),
 		Coalesced:       s.coalesced.Load(),
 		PeerServed:      s.peerServed.Load(),
 		SessionsCreated: s.sessions.Load(),
@@ -152,8 +136,6 @@ func (a ServeSnapshot) Sub(b ServeSnapshot) ServeSnapshot {
 		Panics:          a.Panics - b.Panics,
 		BadRequests:     a.BadRequests - b.BadRequests,
 		Computes:        a.Computes - b.Computes,
-		ComputesBigring: a.ComputesBigring - b.ComputesBigring,
-		ComputesOnline:  a.ComputesOnline - b.ComputesOnline,
 		Coalesced:       a.Coalesced - b.Coalesced,
 		PeerServed:      a.PeerServed - b.PeerServed,
 		SessionsCreated: a.SessionsCreated - b.SessionsCreated,

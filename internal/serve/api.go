@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"ringsched/internal/engine"
 	"ringsched/internal/instance"
 	"ringsched/internal/online"
 	"ringsched/internal/opt"
@@ -43,9 +44,6 @@ type ScheduleRequest struct {
 type RequestOptions struct {
 	// MaxSteps aborts runaway runs; 0 uses the engine default.
 	MaxSteps int64 `json:"maxSteps,omitempty"`
-	// Distributed runs the goroutine-per-processor runtime instead of
-	// the sequential engine (same schedule, truly concurrent execution).
-	Distributed bool `json:"distributed,omitempty"`
 	// TimeoutMs bounds this request's compute time; 0 (and anything
 	// larger) uses the server's RequestTimeout.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
@@ -55,19 +53,15 @@ type RequestOptions struct {
 	// each released batch may leave their home processor (see
 	// online.Params.MigrationBudget); 0 means unlimited.
 	MigrationBudget int64 `json:"migrationBudget,omitempty"`
-	// Engine selects the compute engine for sequential A1..C2 runs on
-	// unit-job instances: "pool" (the general-purpose engine), "bigring"
-	// (the allocation-free span-parallel engine for huge rings — 400 on
-	// anything outside its domain), or ""/"auto" to let the server route
-	// by ring size (bigring at or above Config.BigRingThreshold).
-	// Results are bit-identical either way; the resolved engine is
-	// reported in the response and the request's span log.
+	// Engine names the compute engine (one of internal/engine's
+	// registry; an engine outside its domain is a 400), or ""/"auto" to
+	// let the server pick: the huge-ring engine for rings at or above
+	// Config.BigRingThreshold when it can run the request, the general
+	// one otherwise. Results are bit-identical on every engine that
+	// runs a request; the resolved engine is reported in the response
+	// and the request's span log.
 	Engine string `json:"engine,omitempty"`
 }
-
-// ScheduleReqOptions is the historical name of RequestOptions, kept as
-// an alias for embedders.
-type ScheduleReqOptions = RequestOptions
 
 // ArrivalBatch is one online release: count unit jobs appearing on
 // processor proc at the start of step t.
@@ -96,9 +90,7 @@ type ScheduleResponse struct {
 	// MaxFlowTime and Migrated are set for algorithm "online" only.
 	MaxFlowTime int64 `json:"maxFlowTime,omitempty"`
 	Migrated    int64 `json:"migrated,omitempty"`
-	// Engine is the engine that computed the run ("pool" or "bigring")
-	// for sequential A1..C2 requests; empty for cap, online and
-	// distributed runs, which have a single implementation.
+	// Engine is the registry engine that computed the run.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -279,15 +271,9 @@ type AlgorithmsResponse struct {
 
 // AlgorithmInfo describes one algorithm accepted by POST /v1/schedule.
 type AlgorithmInfo struct {
-	Name string `json:"name"`
-	// Kind is "bucket" (the §6 static algorithms), "capacitated" (§7)
-	// or "online" (the dynamic-arrival extension).
-	Kind        string `json:"kind"`
-	Description string `json:"description"`
+	engine.Algorithm
 	// Engines lists the compute engines that can run this algorithm.
 	Engines []string `json:"engines"`
-	// Distributed reports the goroutine-per-processor runtime applies.
-	Distributed bool `json:"distributed,omitempty"`
 	// Compare reports /v1/compare accepts this algorithm.
 	Compare bool `json:"compare,omitempty"`
 	// Sessions reports /v1/session streams this algorithm.
@@ -302,8 +288,8 @@ type EngineInfo struct {
 	Domain string `json:"domain"`
 	// Endpoints lists where the engine can be exercised.
 	Endpoints []string `json:"endpoints"`
-	// AutoThreshold, for bigring, is the ring size at or above which
-	// auto routing selects it (0 = auto routing disabled).
+	// AutoThreshold, for the huge-ring engine, is the ring size at or
+	// above which auto routing selects it (0 = auto routing disabled).
 	AutoThreshold int `json:"autoThreshold,omitempty"`
 }
 
@@ -328,7 +314,7 @@ func errorCode(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, instance.ErrInvalid):
 		return http.StatusBadRequest, "invalid_instance"
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, engine.ErrUnsupported):
 		return http.StatusBadRequest, "invalid_request"
 	case errors.Is(err, errSessionNotFound):
 		return http.StatusNotFound, "session_not_found"
@@ -386,15 +372,13 @@ func (s *Server) admissible(in instance.Instance) error {
 }
 
 // normalizeAlgorithms validates and defaults a compare request's
-// algorithm list.
+// algorithm list: bucket algorithms, all six by default.
 func normalizeAlgorithms(names []string) ([]string, error) {
 	if len(names) == 0 {
 		return []string{"A1", "B1", "C1", "A2", "B2", "C2"}, nil
 	}
 	for _, n := range names {
-		switch n {
-		case "A1", "B1", "C1", "A2", "B2", "C2":
-		default:
+		if a := engine.LookupAlgorithm(n); a == nil || a.Kind != "bucket" {
 			return nil, fmt.Errorf("%w: unknown algorithm %q", errBadRequest, n)
 		}
 	}

@@ -3,12 +3,15 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
+
+	"ringsched/internal/engine"
 )
 
-// handleAlgorithms is GET /v1/algorithms: the discovery surface. The
-// catalog is static apart from the bigring auto-routing threshold, so
-// clients (and the selftest) can enumerate algorithms and engines
-// instead of hardcoding names.
+// handleAlgorithms is GET /v1/algorithms: the discovery surface,
+// generated from the engine registry (plus the huge-ring auto-routing
+// threshold), so clients (and the selftest) can enumerate algorithms
+// and engines instead of hardcoding names.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -16,64 +19,25 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.Request()
-	bucketDesc := map[string]string{
-		"A1": "greedy bucket brigade, 3-competitive",
-		"B1": "balanced bucket brigade, 2-competitive on dense rings",
-		"C1": "counting bucket brigade with global load estimates",
-		"A2": "two-direction variant of A1",
-		"B2": "two-direction variant of B1",
-		"C2": "two-direction variant of C1",
-	}
 	resp := AlgorithmsResponse{Schema: Schema}
-	for _, name := range []string{"A1", "B1", "C1", "A2", "B2", "C2"} {
-		resp.Algorithms = append(resp.Algorithms, AlgorithmInfo{
-			Name:        name,
-			Kind:        "bucket",
-			Description: bucketDesc[name],
-			Engines:     []string{"pool", "bigring", "dist"},
-			Distributed: true,
-			Compare:     true,
-		})
+	for _, a := range engine.Algorithms {
+		ai := AlgorithmInfo{Algorithm: a, Compare: a.Kind == "bucket"}
+		for i := range engine.All {
+			e := &engine.All[i]
+			if e.Supports(engine.Shape{Algorithm: a.Name, Unit: true}) == nil {
+				ai.Engines = append(ai.Engines, e.Name)
+				ai.Sessions = ai.Sessions || slices.Contains(e.Endpoints, "/v1/session")
+			}
+		}
+		resp.Algorithms = append(resp.Algorithms, ai)
 	}
-	resp.Algorithms = append(resp.Algorithms,
-		AlgorithmInfo{
-			Name:        "cap",
-			Kind:        "capacitated",
-			Description: "unit-capacity-link scheduling (one job per link per step)",
-			Engines:     []string{"pool"},
-		},
-		AlgorithmInfo{
-			Name:        "online",
-			Kind:        "online",
-			Description: "dynamic-arrival diffusion scheduling with release-aware flow-time accounting",
-			Engines:     []string{"pool"},
-			Sessions:    true,
-		},
-	)
-	auto := s.cfg.BigRingThreshold
-	if auto < 0 {
-		auto = 0
-	}
-	resp.Engines = []EngineInfo{
-		{
-			Name:        "pool",
-			Description: "general-purpose engine running on the shared worker pool",
-			Domain:      "every algorithm, any admissible instance",
-			Endpoints:   []string{"/v1/schedule", "/v1/compare"},
-		},
-		{
-			Name:          "bigring",
-			Description:   "allocation-free span-parallel engine for huge rings; bit-identical to pool on its domain",
-			Domain:        "sequential A1..C2 on unit-job instances without arrivals",
-			Endpoints:     []string{"/v1/schedule"},
-			AutoThreshold: auto,
-		},
-		{
-			Name:        "online",
-			Description: "resumable incremental engine behind streaming sessions; bit-identical to a one-shot online run over the same arrival sequence",
-			Domain:      "algorithm online, arrivals appended over a session's lifetime",
-			Endpoints:   []string{"/v1/session"},
-		},
+	for i := range engine.All {
+		e := &engine.All[i]
+		ei := EngineInfo{Name: e.Name, Description: e.Description, Domain: e.Domain, Endpoints: e.Endpoints}
+		if e.Huge {
+			ei.AutoThreshold = max(s.cfg.BigRingThreshold, 0)
+		}
+		resp.Engines = append(resp.Engines, ei)
 	}
 	writeJSON(w, info(r), http.StatusOK, "", resp)
 }

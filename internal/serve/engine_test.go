@@ -2,9 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"ringsched/internal/engine"
+	"ringsched/internal/instance"
+	"ringsched/internal/lb"
 )
 
 // denseUnit builds a unit instance with every processor loaded — the
@@ -61,48 +67,40 @@ func TestScheduleEngineRouting(t *testing.T) {
 		t.Fatalf("engines disagree: pool %+v vs bigring %+v", poolResp, expResp)
 	}
 
-	snap := s.Stats()
-	if snap.ComputesBigring != 2 {
-		t.Fatalf("computesBigring = %d, want 2 (auto huge + explicit small)", snap.ComputesBigring)
+	if c := s.EngineComputes(); c["bigring"] != 2 || c["pool"] != 1 || s.Stats().Computes != 3 {
+		t.Fatalf("computes by engine %v (total %d), want bigring 2 (auto huge + explicit small), pool 1", c, s.Stats().Computes)
 	}
-	if pool := snap.Computes - snap.ComputesBigring; pool != 1 {
-		t.Fatalf("pool computes = %d, want 1", pool)
-	}
-	if lat := s.latencyOut()["schedule"]; lat.EngineBigring.Count != 2 || lat.Engine.Count != 1 {
+	if lat := s.latencyOut()["schedule"]; lat.Engine["bigring"].Count != 2 || lat.Engine["pool"].Count != 1 {
 		t.Fatalf("engine histogram counts = pool %d / bigring %d, want 1 / 2",
-			lat.Engine.Count, lat.EngineBigring.Count)
+			lat.Engine["pool"].Count, lat.Engine["bigring"].Count)
 	}
 }
 
-// TestScheduleEngineRejections pins the 400s: bigring outside its
+// TestScheduleEngineRejections pins the 400s: an engine outside its
 // domain and unknown engine names.
 func TestScheduleEngineRejections(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
+	unit := unitInstance(t, []int64{4, 0, 0, 0})
 	for _, tc := range []struct {
 		name string
 		req  ScheduleRequest
 	}{
-		{"distributed", ScheduleRequest{
-			Instance:  unitInstance(t, []int64{4, 0, 0, 0}),
+		{"sized-bigring", ScheduleRequest{
+			Instance:  instance.NewSized([][]int64{{2, 3}, nil, nil, {1}}),
 			Algorithm: "C1",
-			Options:   ScheduleReqOptions{Engine: "bigring", Distributed: true},
+			Options:   RequestOptions{Engine: "bigring"},
 		}},
-		{"cap-algorithm", ScheduleRequest{
-			Instance:  unitInstance(t, []int64{4, 0, 0, 0}),
-			Algorithm: "cap",
-			Options:   ScheduleReqOptions{Engine: "bigring"},
-		}},
+		{"cap-algorithm", ScheduleRequest{Instance: unit, Algorithm: "cap", Options: RequestOptions{Engine: "bigring"}}},
 		{"online-arrivals", ScheduleRequest{
-			Instance:  unitInstance(t, []int64{4, 0, 0, 0}),
+			Instance:  unit,
 			Algorithm: "online",
-			Options:   ScheduleReqOptions{Engine: "bigring"},
+			Options:   RequestOptions{Engine: "bigring"},
 			Arrivals:  []ArrivalBatch{{T: 2, Proc: 1, Count: 3}},
 		}},
-		{"unknown-engine", ScheduleRequest{
-			Instance:  unitInstance(t, []int64{4, 0, 0, 0}),
-			Algorithm: "C1",
-			Options:   ScheduleReqOptions{Engine: "warp"},
-		}},
+		// One-shot online resolves to the online engine, so pinning the
+		// pool engine on it is outside the pool's domain.
+		{"online-pool", ScheduleRequest{Instance: unit, Algorithm: "online", Options: RequestOptions{Engine: "pool"}}},
+		{"unknown-engine", ScheduleRequest{Instance: unit, Algorithm: "C1", Options: RequestOptions{Engine: "warp"}}},
 	} {
 		w := post(t, s, "/v1/schedule", tc.req)
 		if w.Code != http.StatusBadRequest {
@@ -151,5 +149,103 @@ func TestScheduleEngineCacheSplit(t *testing.T) {
 	}
 	if w := post(t, s, "/v1/schedule", req); w.Header().Get("X-Ringserve-Cache") != "hit" {
 		t.Fatalf("repeat bigring call: cache %q, want hit", w.Header().Get("X-Ringserve-Cache"))
+	}
+}
+
+// TestScheduleLowerBoundBySize: the lower bound follows the ring size,
+// not the engine. One small instance gets the same exact bound (and so
+// the same body, engine stamp aside) from both static engines, where
+// the exact and sparse window scans disagree.
+func TestScheduleLowerBoundBySize(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	in := unitInstance(t, []int64{0, 0, 0, 0, 0, 0, 0, 29, 4, 34, 0})
+	if lb.Best(in) == lb.BestSparse(in) {
+		t.Fatalf("instance does not separate the bounds (both %d)", lb.Best(in))
+	}
+	bodies := map[string]ScheduleResponse{}
+	for _, eng := range []string{"pool", "bigring"} {
+		w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1", Options: RequestOptions{Engine: eng}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", eng, w.Code, w.Body.String())
+		}
+		resp := decodeBody[ScheduleResponse](t, w)
+		if resp.Engine != eng || resp.LowerBound != lb.Best(in) {
+			t.Fatalf("%s: engine %q, lower bound %d, want %d", eng, resp.Engine, resp.LowerBound, lb.Best(in))
+		}
+		resp.Engine = ""
+		bodies[eng] = resp
+	}
+	if bodies["pool"] != bodies["bigring"] {
+		t.Fatalf("engines disagree: pool %+v vs bigring %+v", bodies["pool"], bodies["bigring"])
+	}
+}
+
+// TestScheduleHugePoolRingBound: a ring past exactBoundMaxM that auto
+// routing leaves on the pool engine carries the sparse bound and answers
+// well within its timeout; the exact O(m²) scan alone would take tens
+// of seconds at this size.
+func TestScheduleHugePoolRingBound(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	const m = 1 << 15
+	works := make([]int64, m)
+	for i := range works {
+		works[i] = 2
+		if i%4099 == 0 {
+			works[i] = 40
+		}
+	}
+	in := unitInstance(t, works)
+	w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1", Options: RequestOptions{TimeoutMs: 10_000}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+	}
+	resp := decodeBody[ScheduleResponse](t, w)
+	if resp.Engine != "pool" || resp.LowerBound != lb.BestSparse(in) {
+		t.Fatalf("engine %q, lower bound %d, want pool and the sparse bound %d", resp.Engine, resp.LowerBound, lb.BestSparse(in))
+	}
+}
+
+// TestEngineRegistryDrift finds every registry engine on every surface
+// that reports engines: the /v1/algorithms catalog, both engine-labeled
+// /metrics families (for every instrumented endpoint) and /v1/statusz.
+func TestEngineRegistryDrift(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	catalog := decodeBody[AlgorithmsResponse](t, get(t, s, "/v1/algorithms"))
+	var status statuszResponse
+	if err := json.Unmarshal(get(t, s, "/v1/statusz").Body.Bytes(), &status); err != nil {
+		t.Fatal(err)
+	}
+	prom := get(t, s, "/metrics").Body.String()
+	listed := map[string]bool{}
+	for _, e := range catalog.Engines {
+		listed[e.Name] = true
+	}
+	if len(catalog.Engines) != len(engine.All) {
+		t.Errorf("catalog lists %d engines, registry has %d", len(catalog.Engines), len(engine.All))
+	}
+	for i := range engine.All {
+		name := engine.All[i].Name
+		if !listed[name] {
+			t.Errorf("engine %s missing from /v1/algorithms", name)
+		}
+		if !strings.Contains(prom, fmt.Sprintf("ringserve_computes_total{engine=%q} ", name)) {
+			t.Errorf("engine %s missing from ringserve_computes_total", name)
+		}
+		if _, ok := status.EngineComputes[name]; !ok {
+			t.Errorf("engine %s missing from statusz engineComputes", name)
+		}
+		for _, ep := range latEndpoints {
+			if !strings.Contains(prom, fmt.Sprintf("ringserve_engine_seconds_count{endpoint=%q,engine=%q} ", ep, name)) {
+				t.Errorf("engine %s missing from ringserve_engine_seconds on %s", name, ep)
+			}
+			if _, ok := status.Latency[ep].Engine[name]; !ok {
+				t.Errorf("engine %s missing from statusz latency of %s", name, ep)
+			}
+		}
+	}
+	for _, a := range catalog.Algorithms {
+		if len(a.Engines) == 0 {
+			t.Errorf("algorithm %s lists no engine", a.Name)
+		}
 	}
 }

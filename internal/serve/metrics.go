@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 
+	"ringsched/internal/engine"
 	"ringsched/internal/metrics"
 )
 
@@ -35,13 +36,13 @@ func (s *Server) writeProm(p *metrics.PromWriter) {
 	p.Counter("ringserve_cache_hits_total", "Responses served from the canonical result cache.", one(snap.CacheHits)...)
 	p.Counter("ringserve_cache_misses_total", "Responses computed because the cache had no entry.", one(snap.CacheMisses)...)
 	p.Counter("ringserve_cache_evictions_total", "Cache entries displaced by LRU pressure.", one(snap.Evictions)...)
-	// Computes carry an engine label so big-ring and streaming-session
-	// runs are visible apart from the pool path (the unlabeled total is
-	// the sum of the three).
-	p.Counter("ringserve_computes_total", "Engine/solver runs actually executed on the worker pool, by compute engine.",
-		metrics.PromSample{Labels: []metrics.PromLabel{{Name: "engine", Value: "bigring"}}, Value: float64(snap.ComputesBigring)},
-		metrics.PromSample{Labels: []metrics.PromLabel{{Name: "engine", Value: "online"}}, Value: float64(snap.ComputesOnline)},
-		metrics.PromSample{Labels: []metrics.PromLabel{{Name: "engine", Value: "pool"}}, Value: float64(snap.Computes - snap.ComputesBigring - snap.ComputesOnline)})
+	// Computes carry an engine label, one sample per registry engine;
+	// solver runs count toward the engine serving their endpoint.
+	computes := make([]metrics.PromSample, len(engine.All))
+	for i := range engine.All {
+		computes[i] = metrics.PromSample{Labels: []metrics.PromLabel{{Name: "engine", Value: engine.All[i].Name}}, Value: float64(s.computes[i].Load())}
+	}
+	p.Counter("ringserve_computes_total", "Engine/solver runs actually executed on the worker pool, by compute engine.", computes...)
 	p.Counter("ringserve_coalesced_total", "Requests that shared another request's in-flight computation.", one(snap.Coalesced)...)
 	p.Counter("ringserve_peer_served_total", "Requests answered on behalf of a cluster peer.", one(snap.PeerServed)...)
 	p.Counter("ringserve_sessions_created_total", "Streaming scheduling sessions created.", one(snap.SessionsCreated)...)
@@ -57,39 +58,21 @@ func (s *Server) writeProm(p *metrics.PromWriter) {
 	p.Gauge("ringserve_sessions_active", "Live streaming sessions.", one(int64(s.sessions.len()))...)
 	p.Gauge("ringserve_sessions_capacity", "Live-session cap before 429 backpressure.", one(int64(s.cfg.MaxSessions))...)
 
-	series := func(phase int) []metrics.PromHistogram {
-		out := make([]metrics.PromHistogram, 0, len(latEndpoints))
-		for _, ep := range latEndpoints {
-			out = append(out, metrics.PromHistogram{
-				Labels:   []metrics.PromLabel{{Name: "endpoint", Value: ep}},
-				Snapshot: s.lat[ep].hist[phase].Snapshot(),
+	var total, queue, exec []metrics.PromHistogram
+	for _, ep := range latEndpoints {
+		lat, label := s.lat[ep], metrics.PromLabel{Name: "endpoint", Value: ep}
+		total = append(total, metrics.PromHistogram{Labels: []metrics.PromLabel{label}, Snapshot: lat.total.Snapshot()})
+		queue = append(queue, metrics.PromHistogram{Labels: []metrics.PromLabel{label}, Snapshot: lat.queue.Snapshot()})
+		for i := range engine.All {
+			exec = append(exec, metrics.PromHistogram{
+				Labels:   []metrics.PromLabel{label, {Name: "engine", Value: engine.All[i].Name}},
+				Snapshot: lat.byEngine[i].Snapshot(),
 			})
 		}
-		return out
 	}
-	p.Histogram("ringserve_request_duration_seconds", "Total request latency per endpoint.", series(latTotal)...)
-	p.Histogram("ringserve_queue_wait_seconds", "Time requests spent queued before a worker started them.", series(latQueue)...)
-	// The engine phase is labeled by compute engine: "pool" covers the
-	// general-purpose engine plus solver work, "bigring" the span-
-	// parallel huge-instance engine, "online" the streaming sessions'
-	// resumable engine.
-	engineSeries := make([]metrics.PromHistogram, 0, 3*len(latEndpoints))
-	for _, ep := range latEndpoints {
-		engineSeries = append(engineSeries,
-			metrics.PromHistogram{
-				Labels:   []metrics.PromLabel{{Name: "endpoint", Value: ep}, {Name: "engine", Value: "bigring"}},
-				Snapshot: s.lat[ep].engineBigring.Snapshot(),
-			},
-			metrics.PromHistogram{
-				Labels:   []metrics.PromLabel{{Name: "endpoint", Value: ep}, {Name: "engine", Value: "online"}},
-				Snapshot: s.lat[ep].engineOnline.Snapshot(),
-			},
-			metrics.PromHistogram{
-				Labels:   []metrics.PromLabel{{Name: "endpoint", Value: ep}, {Name: "engine", Value: "pool"}},
-				Snapshot: s.lat[ep].hist[latEngine].Snapshot(),
-			})
-	}
-	p.Histogram("ringserve_engine_seconds", "Time requests spent executing on a worker (engine and solver), by compute engine.", engineSeries...)
+	p.Histogram("ringserve_request_duration_seconds", "Total request latency per endpoint.", total...)
+	p.Histogram("ringserve_queue_wait_seconds", "Time requests spent queued before a worker started them.", queue...)
+	p.Histogram("ringserve_engine_seconds", "Time requests spent executing on a worker (engine and solver), by compute engine.", exec...)
 
 	solver := metrics.Solver.Snapshot().Sub(s.solverBase)
 	p.Counter("ringsched_solver_probes_total", "Feasibility max-flow probes since this server started.", one(solver.Probes)...)

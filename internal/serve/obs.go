@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ringsched/internal/engine"
 	"ringsched/internal/metrics"
 )
 
@@ -23,30 +24,22 @@ import (
 // annotation helpers are nil-safe, so the hot path stays branch-cheap
 // and nothing needs to care whether tracing is enabled.
 
-// latPhases are the per-endpoint histogram phases, in wire order.
-const (
-	latTotal  = iota // wall time from handler entry to response written
-	latQueue         // time spent queued before a worker picked the task up
-	latEngine        // time the task spent executing on a worker
-	numLatPhases
-)
-
-// latPhaseNames label the phases in /v1/statusz and /metrics.
-var latPhaseNames = [numLatPhases]string{"total", "queue", "engine"}
-
-// endpointLat is one endpoint's latency histograms. The engine phase is
-// split by compute engine: hist[latEngine] is the pool path (engine and
-// solver runs), engineBigring the big-ring path and engineOnline the
-// streaming sessions' resumable engine — so huge-instance and
-// long-session latencies never fold into the pool's percentiles.
+// endpointLat is one endpoint's latency histograms: total is the wall
+// time from handler entry to response written, queue the time queued
+// before a worker picked the task up, and byEngine the time the task
+// spent executing on a worker, split by compute engine (indexed like
+// engine.All) so huge-instance and long-session latencies never fold
+// into the pool's percentiles.
 type endpointLat struct {
-	hist          [numLatPhases]metrics.Histogram
-	engineBigring metrics.Histogram
-	engineOnline  metrics.Histogram
+	total, queue metrics.Histogram
+	byEngine     [len(engine.All)]metrics.Histogram
 }
 
 // latEndpoints lists the instrumented endpoints in exposition order.
 var latEndpoints = []string{"schedule", "optimal", "compare", "session"}
+
+// sessionEngine is the engine streaming sessions run on.
+var sessionEngine = engine.Serving("/v1/session")
 
 // reqInfo is the per-request observability record, carried in the
 // request context from the wrap middleware down into the compute
@@ -109,28 +102,26 @@ func (ri *reqInfo) observeQueue(start time.Time, wait time.Duration) {
 		return
 	}
 	if ri.lat != nil {
-		ri.lat.hist[latQueue].Observe(wait)
+		ri.lat.queue.Observe(wait)
 	}
 	ri.tr.Add("queue", "", start, wait)
 }
 
-// observeEngine feeds the execution-time split (the task's time on a
-// worker, covering engine and solver work), attributed to the engine
-// that ran it ("bigring" gets its own histogram; anything else is the
-// pool path).
-func (ri *reqInfo) observeEngine(start time.Time, d time.Duration, engine string) {
+// computed accounts one run of engine e on a worker that started at
+// start and ended with err: the compute counters when it succeeded, and
+// always the execution-time split (the task's time on a worker, covering
+// engine and solver work) and the compute span.
+func (s *Server) computed(ri *reqInfo, e *engine.Engine, start time.Time, err error) {
+	if err == nil {
+		s.stats.Compute()
+		s.computes[e.Index()].Add(1)
+	}
 	if ri == nil {
 		return
 	}
+	d := time.Since(start)
 	if ri.lat != nil {
-		switch engine {
-		case "bigring":
-			ri.lat.engineBigring.Observe(d)
-		case "online":
-			ri.lat.engineOnline.Observe(d)
-		default:
-			ri.lat.hist[latEngine].Observe(d)
-		}
+		ri.lat.byEngine[e.Index()].Observe(d)
 	}
 	ri.tr.Add("compute", "", start, d)
 }
@@ -156,7 +147,7 @@ func (s *Server) wrap(op string, h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("X-Request-Id", ri.id)
 		h(w, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
 		if lat != nil {
-			lat.hist[latTotal].Observe(time.Since(ri.start))
+			lat.total.Observe(time.Since(ri.start))
 		}
 		if s.accessLog != nil {
 			rec := ri.tr.Record(ri.id, op)

@@ -248,10 +248,10 @@ func TestStatuszLatencyDigest(t *testing.T) {
 	if lat.Total.Count != 2 || lat.Total.P99Ms <= 0 || lat.Total.P50Ms > lat.Total.P99Ms {
 		t.Fatalf("total digest = %+v", lat.Total)
 	}
-	if lat.Queue.Count != 1 || lat.Engine.Count != 1 {
-		t.Fatalf("queue/engine counts = %d/%d, want 1/1 (one miss)", lat.Queue.Count, lat.Engine.Count)
+	if pool := lat.Engine["pool"]; lat.Queue.Count != 1 || pool.Count != 1 {
+		t.Fatalf("queue/engine counts = %d/%d, want 1/1 (one miss)", lat.Queue.Count, pool.Count)
 	}
-	if lat.Engine.P99Ms <= 0 {
+	if lat.Engine["pool"].P99Ms <= 0 {
 		t.Fatalf("engine digest = %+v", lat.Engine)
 	}
 	for _, ep := range []string{"optimal", "compare"} {

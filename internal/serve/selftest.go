@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"ringsched/internal/engine"
 	"ringsched/internal/instance"
 	"ringsched/internal/online"
 	"ringsched/internal/workload"
@@ -159,7 +160,9 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 	elapsed := time.Since(start)
 
 	// Huge-instance phase: a dense ring of HugeM processors must route
-	// to the big-ring engine end-to-end — request in, engine stamp out.
+	// to the registry's huge-ring engine end-to-end — request in, engine
+	// stamp out.
+	huge, _ := engine.Resolve("", engine.Shape{Algorithm: "C1", M: opts.HugeM, Unit: true}, opts.HugeM)
 	var hugeLine string
 	if opts.HugeM > 0 {
 		rng := rand.New(rand.NewSource(opts.Seed + 104729))
@@ -180,13 +183,13 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 			<-serveDone
 			return fmt.Errorf("serve: selftest huge instance: decode: %w", err)
 		}
-		if resp.Engine != "bigring" {
+		if resp.Engine != huge.Name {
 			cancel()
 			<-serveDone
-			return fmt.Errorf("serve: selftest huge instance (m=%d) ran engine=%q, want bigring", opts.HugeM, resp.Engine)
+			return fmt.Errorf("serve: selftest huge instance (m=%d) ran engine=%q, want %s", opts.HugeM, resp.Engine, huge.Name)
 		}
-		hugeLine = fmt.Sprintf("  bigring     m=%d engine=%s makespan=%d in %s\n",
-			opts.HugeM, resp.Engine, resp.Makespan, time.Since(hugeStart).Round(time.Millisecond))
+		hugeLine = fmt.Sprintf("  %-11s m=%d engine=%s makespan=%d in %s\n",
+			huge.Name, opts.HugeM, resp.Engine, resp.Makespan, time.Since(hugeStart).Round(time.Millisecond))
 	}
 
 	// Streaming phase: a long-lived session fed three arrival waves must
@@ -235,13 +238,13 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 		delta.Rejected, retried, delta.Coalesced, delta.Canceled, delta.Panics)
 	if hugeLine != "" {
 		fmt.Fprint(out, hugeLine)
-		if delta.ComputesBigring < 1 {
-			return fmt.Errorf("serve: selftest huge instance did not register a bigring compute (computesBigring=%d)", delta.ComputesBigring)
+		if s.EngineComputes()[huge.Name] < 1 {
+			return fmt.Errorf("serve: selftest huge instance did not register a %s compute", huge.Name)
 		}
 	}
 	fmt.Fprint(out, sessionLine)
-	if delta.ComputesOnline < 3 {
-		return fmt.Errorf("serve: selftest streaming phase did not register its online computes (computesOnline=%d)", delta.ComputesOnline)
+	if n := s.EngineComputes()[sessionEngine.Name]; n < 3 {
+		return fmt.Errorf("serve: selftest streaming phase did not register its %s computes (%d)", sessionEngine.Name, n)
 	}
 
 	if hitRate < 0.5 {

@@ -31,10 +31,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ringsched/internal/bigring"
 	"ringsched/internal/bucket"
-	"ringsched/internal/capring"
-	"ringsched/internal/dist"
+	"ringsched/internal/engine"
 	"ringsched/internal/instance"
 	"ringsched/internal/lb"
 	"ringsched/internal/metrics"
@@ -67,11 +65,11 @@ type Config struct {
 	MaxTotalWork int64
 	// MaxBody caps request body size; 0 means 8 MiB.
 	MaxBody int64
-	// BigRingThreshold routes sequential A1..C2 unit-job requests with
-	// m at or above it to the big-ring engine (internal/bigring) instead
-	// of the pool engine; 0 means 100 000, negative disables the
-	// auto-routing (an explicit engine:"bigring" request still works).
-	// Results are bit-identical on both engines.
+	// BigRingThreshold is the ring size at or above which auto routing
+	// picks the huge-ring engine (internal/bigring) for requests it can
+	// run (engine.Resolve); 0 means 100 000, negative disables it (an
+	// explicit engine request still works). Results are bit-identical on
+	// every engine that runs a request.
 	BigRingThreshold int
 	// BigRingWorkers is the big-ring engine's span parallelism per
 	// request (bigring.Options.Workers): 0 lets the engine default to
@@ -172,14 +170,17 @@ func (c Config) WithDefaults() Config {
 // latency histograms, optional access log). Create it with New; it is
 // safe for concurrent use.
 type Server struct {
-	cfg       Config
-	pool      *pool
-	cache     *cache
-	flight    *flightGroup
-	sessions  *sessionRegistry
-	mux       *http.ServeMux
-	start     time.Time
-	stats     *metrics.ServeStats
+	cfg      Config
+	pool     *pool
+	cache    *cache
+	flight   *flightGroup
+	sessions *sessionRegistry
+	mux      *http.ServeMux
+	start    time.Time
+	stats    *metrics.ServeStats
+	// computes counts the successful computes per engine, indexed like
+	// engine.All.
+	computes  [len(engine.All)]atomic.Int64
 	lat       map[string]*endpointLat
 	accessLog *metrics.SpanLog
 	// notReady and draining drive GET /v1/readyz: a node reports ready
@@ -244,7 +245,7 @@ func New(cfg Config) *Server {
 	expvarOnce.Do(func() {
 		expvar.Publish("ringserve", expvar.Func(func() any {
 			if live := liveServer.Load(); live != nil {
-				return live.expvarState()
+				return live.status()
 			}
 			return nil
 		}))
@@ -255,13 +256,14 @@ func New(cfg Config) *Server {
 // Stats returns a snapshot of this server's own counters.
 func (s *Server) Stats() metrics.ServeSnapshot { return s.stats.Snapshot() }
 
-// expvarState is the expvar "ringserve" payload: counters plus the
-// per-endpoint latency digests.
-func (s *Server) expvarState() any {
-	return struct {
-		Counters metrics.ServeSnapshot         `json:"counters"`
-		Latency  map[string]endpointLatencyOut `json:"latency"`
-	}{s.stats.Snapshot(), s.latencyOut()}
+// EngineComputes returns the successful computes per engine, keyed by
+// registry name.
+func (s *Server) EngineComputes() map[string]int64 {
+	out := make(map[string]int64, len(engine.All))
+	for i := range engine.All {
+		out[engine.All[i].Name] = s.computes[i].Load()
+	}
+	return out
 }
 
 // Handler returns the daemon's HTTP handler (for tests and embedding).
@@ -415,10 +417,9 @@ type computeSpec struct {
 	// key is the cache and coalescing identity.
 	key       string
 	timeoutMs int64
-	// engine names the compute engine for stats/histogram attribution
-	// ("bigring" splits off the big-ring families; anything else counts
-	// as the pool).
-	engine string
+	// engine is the compute engine the stats and histograms attribute
+	// the run to.
+	engine *engine.Engine
 	// peerReq is the canonical request body a peer can replay to
 	// produce byte-identical output; nil means "never forward".
 	peerReq []byte
@@ -533,13 +534,7 @@ func (s *Server) produce(ctx context.Context, ri *reqInfo, spec computeSpec, for
 			o.body, err = spec.compute(ctx)
 			return err
 		})
-		if o.err == nil {
-			s.stats.Compute()
-			if spec.engine == "bigring" {
-				s.stats.ComputeBigring()
-			}
-		}
-		ri.observeEngine(execStart, time.Since(execStart), spec.engine)
+		s.computed(ri, spec.engine, execStart, o.err)
 		ch <- o
 	})
 	if !ok {
@@ -591,117 +586,99 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	switch req.Algorithm {
-	case "A1", "B1", "C1", "A2", "B2", "C2", "cap", "online":
-	default:
-		s.writeError(w, r, fmt.Errorf("%w: unknown algorithm %q", errBadRequest, req.Algorithm))
-		return
-	}
-	if len(req.Arrivals) > 0 && req.Algorithm != "online" {
-		s.writeError(w, r, fmt.Errorf("%w: arrivals require algorithm \"online\"", errBadRequest))
-		return
-	}
-	if req.Options.Distributed && (req.Algorithm == "cap" || req.Algorithm == "online") {
-		s.writeError(w, r, fmt.Errorf("%w: distributed runs support A1..C2 only", errBadRequest))
-		return
-	}
-	eng, err := s.resolveEngine(req)
+	eng, err := s.resolve(req)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
+	// Peers replay the request with the engine pinned to our resolution,
+	// so nodes with different thresholds still produce byte-identical
+	// bodies for one key.
+	req.Options.Engine = eng.Name
 
-	// The cache identity. Without arrivals the rotation/reflection
-	// symmetry holds, so the canonical fingerprint is the identity and
-	// compute runs on the canonical copy (making cached and fresh
-	// bodies byte-identical across all dihedral copies). Arrival
-	// processor indices break the symmetry, so those requests are keyed
-	// and computed on their exact form.
+	// Without arrivals compute runs on the canonical copy, so cached and
+	// fresh bodies are byte-identical across all dihedral copies; arrival
+	// processor indices break the symmetry, so those requests run on
+	// their exact form.
 	endCanon := info(r).span("canonicalize", "")
 	can := req.Instance.Canonical()
 	fp := can.Fingerprint()
 	endCanon()
 	runOn := can
-	ident := fp.String()
 	if len(req.Arrivals) > 0 {
 		runOn = req.Instance
-		raw, _ := json.Marshal(req.Instance)
-		sum := sha256.Sum256(append(raw, []byte(arrivalsKey(req.Arrivals))...))
-		ident = fmt.Sprintf("exact-%x", sum)
 	}
-	key := fmt.Sprintf("schedule|%s|%s|steps=%d|dist=%t|bidir=%t|mig=%d|engine=%s",
-		ident, req.Algorithm, req.Options.MaxSteps, req.Options.Distributed, req.Options.Bidirectional,
-		req.Options.MigrationBudget, eng)
-
-	// Peers replay the request with the engine pinned to our resolution,
-	// so nodes with different thresholds still produce byte-identical
-	// bodies for one key.
-	peerOpts := req.Options
-	peerOpts.Engine = eng
 
 	ri := info(r)
 	s.respond(w, r, computeSpec{
 		endpoint:  "schedule",
-		key:       key,
+		key:       scheduleKey(req, fp, eng),
 		timeoutMs: req.Options.TimeoutMs,
 		engine:    eng,
-		peerReq:   peerForm(ScheduleRequest{Instance: runOn, Algorithm: req.Algorithm, Options: peerOpts, Arrivals: req.Arrivals}),
+		peerReq:   peerForm(ScheduleRequest{Instance: runOn, Algorithm: req.Algorithm, Options: req.Options, Arrivals: req.Arrivals}),
 		compute: func(ctx context.Context) (any, error) {
 			defer ri.span("engine", "compute")()
-			defer ri.span("engine="+eng, "engine")()
+			defer ri.span("engine="+eng.Name, "engine")()
 			return s.computeSchedule(ctx, runOn, fp, req, eng)
 		},
 	})
 }
 
-// resolveEngine picks the compute engine for a schedule request. The
-// big-ring engine covers exactly the sequential bucket algorithms on
-// unit-job static instances; an explicit request outside that domain is
-// a 400, and ""/"auto" routes by ring size against BigRingThreshold.
-func (s *Server) resolveEngine(req ScheduleRequest) (string, error) {
-	bigOK := false
-	switch req.Algorithm {
-	case "A1", "B1", "C1", "A2", "B2", "C2":
-		bigOK = !req.Options.Distributed && len(req.Arrivals) == 0 && req.Instance.IsUnit()
-	}
-	switch req.Options.Engine {
-	case "", "auto":
-		if bigOK && s.cfg.BigRingThreshold > 0 && req.Instance.M >= s.cfg.BigRingThreshold {
-			return "bigring", nil
-		}
-		return "pool", nil
-	case "pool":
-		return "pool", nil
-	case "bigring":
-		if !bigOK {
-			return "", fmt.Errorf("%w: engine \"bigring\" supports only sequential A1..C2 runs on unit-job instances without arrivals", errBadRequest)
-		}
-		return "bigring", nil
-	default:
-		return "", fmt.Errorf("%w: unknown engine %q (want auto, pool or bigring)", errBadRequest, req.Options.Engine)
-	}
+// resolve picks the engine for a schedule request from the registry; a
+// request no engine can run is a 400 (engine.ErrUnsupported).
+func (s *Server) resolve(req ScheduleRequest) (*engine.Engine, error) {
+	return engine.Resolve(req.Options.Engine, engine.Shape{
+		Algorithm: req.Algorithm,
+		M:         req.Instance.M,
+		Unit:      req.Instance.IsUnit(),
+		Arrivals:  len(req.Arrivals) > 0,
+	}, s.cfg.BigRingThreshold)
 }
 
-func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp instance.Fingerprint, req ScheduleRequest, eng string) (any, error) {
+// scheduleKey is a schedule request's cache and cluster-shard identity,
+// given the canonical fingerprint fp and the resolved engine. Without
+// arrivals the rotation/reflection symmetry holds, so fp identifies the
+// instance; with arrivals the request is keyed by its exact form.
+func scheduleKey(req ScheduleRequest, fp instance.Fingerprint, eng *engine.Engine) string {
+	ident := fp.String()
+	if len(req.Arrivals) > 0 {
+		raw, _ := json.Marshal(req.Instance)
+		sum := sha256.Sum256(append(raw, []byte(arrivalsKey(req.Arrivals))...))
+		ident = fmt.Sprintf("exact-%x", sum)
+	}
+	return fmt.Sprintf("schedule|%s|%s|steps=%d|bidir=%t|mig=%d|engine=%s",
+		ident, req.Algorithm, req.Options.MaxSteps, req.Options.Bidirectional, req.Options.MigrationBudget, eng.Name)
+}
+
+// ScheduleKey returns the key a schedule request is cached and sharded
+// under on this server, or the error the request is refused with.
+func (s *Server) ScheduleKey(req ScheduleRequest) (string, error) {
+	eng, err := s.resolve(req)
+	if err != nil {
+		return "", err
+	}
+	return scheduleKey(req, req.Instance.Canonical().Fingerprint(), eng), nil
+}
+
+// exactBoundMaxM is the largest ring whose uncapacitated schedule
+// responses carry the exact Lemma 1 window scan, lb.Best, which is
+// O(m²); larger rings carry lb.BestSparse, O(m log m), still certified
+// but possibly lower. The bound follows the ring size, not the engine,
+// so every engine answers one instance with the same bound. On a 2-vCPU
+// VM the exact scan takes about 0.27 s at m = 4096 and 20 s at
+// m = 32768; the sparse one 36 ms at m = 10^5. Every ring of Table 1 and
+// of the cold benchmark workload (m <= 2048) keeps the exact bound.
+const exactBoundMaxM = 4096
+
+func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp instance.Fingerprint, req ScheduleRequest, eng *engine.Engine) (any, error) {
 	resp := ScheduleResponse{
 		Schema:      Schema,
 		Fingerprint: fp.String(),
 		Algorithm:   req.Algorithm,
+		Engine:      eng.Name,
 	}
-	switch req.Algorithm {
-	case "cap":
-		opts := capring.Options()
-		opts.MaxSteps = req.Options.MaxSteps
-		opts.Ctx = ctx
-		res, err := sim.Run(in, capring.Algorithm{}, opts)
-		if err != nil {
-			return nil, err
-		}
-		resp.Makespan, resp.Steps = res.Makespan, res.Steps
-		resp.JobHops, resp.Messages = res.JobHops, res.Messages
-		resp.Utilization = res.Utilization()
-		resp.LowerBound = lb.Capacitated(in)
-	case "online":
+	if eng.Run == nil {
+		// The online engine: the one whose result is not a sim.Result.
 		oin, err := onlineInstance(in, req.Arrivals)
 		if err != nil {
 			return nil, err
@@ -717,63 +694,34 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 		resp.MaxFlowTime = res.MaxFlowTime
 		resp.Migrated = res.Migrated
 		resp.LowerBound = online.LowerBound(oin)
-	default:
-		spec, err := bucket.ByName(req.Algorithm)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		switch {
-		case req.Options.Distributed:
-			res, err := dist.RunContext(ctx, in, spec, dist.Options{MaxSteps: req.Options.MaxSteps})
-			if err != nil {
-				return nil, err
-			}
-			resp.Makespan, resp.Steps = res.Makespan, res.Steps
-			resp.JobHops, resp.Messages = res.JobHops, res.Messages
-		case eng == "bigring":
-			// The span-parallel flat-array engine: bit-identical to the
-			// pool engine on this domain, O(m/workers) per step per
-			// worker, zero steady-state allocation. It takes no ctx — a
-			// run is bounded by MaxSteps, and the request deadline still
-			// cuts off the response.
-			res, err := bigring.Run(in, spec, bigring.Options{MaxSteps: req.Options.MaxSteps, Workers: s.cfg.BigRingWorkers})
-			if err != nil {
-				if errors.Is(err, bigring.ErrUnsupported) {
-					return nil, fmt.Errorf("%w: %v", errBadRequest, err)
-				}
-				return nil, err
-			}
-			resp.Engine = eng
-			resp.Makespan, resp.Steps = res.Makespan, res.Steps
-			resp.JobHops, resp.Messages = res.JobHops, res.Messages
-			resp.Utilization = res.Utilization()
-			// The exact Lemma 1 window scan is O(m^2) — unaffordable on
-			// the rings this engine exists for — so bigring responses
-			// carry the O(m log m) geometric-window bound (still a
-			// certified lower bound, possibly slightly weaker).
-			resp.LowerBound = lb.BestSparse(in)
-			return resp, nil
-		default:
-			res, err := sim.Run(in, spec, sim.Options{MaxSteps: req.Options.MaxSteps, Ctx: ctx})
-			if err != nil {
-				return nil, err
-			}
-			resp.Engine = eng
-			resp.Makespan, resp.Steps = res.Makespan, res.Steps
-			resp.JobHops, resp.Messages = res.JobHops, res.Messages
-			resp.Utilization = res.Utilization()
-		}
+		return resp, nil
+	}
+	alg, opts, err := engine.Static(req.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	opts.MaxSteps, opts.Ctx = req.Options.MaxSteps, ctx
+	res, err := eng.Run(in, alg, opts, s.cfg.BigRingWorkers)
+	if err != nil {
+		return nil, err
+	}
+	resp.Makespan, resp.Steps = res.Makespan, res.Steps
+	resp.JobHops, resp.Messages = res.JobHops, res.Messages
+	resp.Utilization = res.Utilization()
+	switch {
+	case opts.LinkCapacity > 0:
+		resp.LowerBound = lb.Capacitated(in)
+	case in.M <= exactBoundMaxM:
 		resp.LowerBound = lb.Best(in)
+	default:
+		resp.LowerBound = lb.BestSparse(in)
 	}
 	return resp, nil
 }
 
-// onlineInstance lifts a static instance plus arrival batches into the
+// onlineInstance lifts a unit instance plus arrival batches into the
 // online model's form (time-0 batches from the instance's unit works).
 func onlineInstance(in instance.Instance, arrivals []ArrivalBatch) (online.Instance, error) {
-	if !in.IsUnit() {
-		return online.Instance{}, fmt.Errorf("%w: algorithm \"online\" requires a unit-job instance", errBadRequest)
-	}
 	var batches []online.Batch
 	for i, n := range in.Unit {
 		if n > 0 {
@@ -821,6 +769,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 		endpoint:  "optimal",
 		key:       key,
 		timeoutMs: req.Limits.DeadlineMs,
+		engine:    engine.Serving("/v1/optimal"),
 		peerReq:   peerForm(OptimalRequest{Instance: can, Capacitated: req.Capacitated, Limits: req.Limits, RequireExact: req.RequireExact}),
 		compute: func(ctx context.Context) (any, error) {
 			defer ri.span("solver", "compute")()
@@ -898,6 +847,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		endpoint:  "compare",
 		key:       key,
 		timeoutMs: req.timeoutMs(),
+		engine:    engine.Serving("/v1/compare"),
 		peerReq:   peerForm(CompareRequest{Instance: can, Algorithms: algs, Limits: req.Limits, Options: req.Options, TimeoutMs: req.TimeoutMs}),
 		compute: func(ctx context.Context) (any, error) {
 			endSolver := ri.span("solver", "compute")
@@ -968,39 +918,35 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // statuszResponse is the live counter dump behind GET /v1/statusz.
 type statuszResponse struct {
-	Schema       string                        `json:"schema"`
-	UptimeSec    float64                       `json:"uptimeSec"`
-	Workers      int                           `json:"workers"`
-	WorkersBusy  int64                         `json:"workersBusy"`
-	QueueLen     int                           `json:"queueLen"`
-	QueueDepth   int                           `json:"queueDepth"`
-	CacheEntries int                           `json:"cacheEntries"`
-	CacheCap     int                           `json:"cacheCap"`
-	HitRate      float64                       `json:"hitRate"`
-	Ready        bool                          `json:"ready"`
+	Schema       string  `json:"schema"`
+	UptimeSec    float64 `json:"uptimeSec"`
+	Workers      int     `json:"workers"`
+	WorkersBusy  int64   `json:"workersBusy"`
+	QueueLen     int     `json:"queueLen"`
+	QueueDepth   int     `json:"queueDepth"`
+	CacheEntries int     `json:"cacheEntries"`
+	CacheCap     int     `json:"cacheCap"`
+	HitRate      float64 `json:"hitRate"`
+	Ready        bool    `json:"ready"`
 	// Sessions counts live streaming sessions against their cap.
-	Sessions    int                           `json:"sessions"`
-	SessionsCap int                           `json:"sessionsCap"`
-	Counters    metrics.ServeSnapshot         `json:"counters"`
-	Latency     map[string]endpointLatencyOut `json:"latency"`
+	Sessions    int                   `json:"sessions"`
+	SessionsCap int                   `json:"sessionsCap"`
+	Counters    metrics.ServeSnapshot `json:"counters"`
+	// EngineComputes counts successful computes per engine.
+	EngineComputes map[string]int64              `json:"engineComputes"`
+	Latency        map[string]endpointLatencyOut `json:"latency"`
 	// Cluster is the cluster layer's status block (shard ownership,
 	// peer breaker states); absent on a single-node daemon.
 	Cluster any `json:"cluster,omitempty"`
 }
 
 // endpointLatencyOut is one endpoint's latency digest on the wire:
-// p50/p90/p99 plus mean and count per phase.
+// p50/p90/p99 plus mean and count for the total and the queue wait, and
+// for the execution time per engine, keyed by registry name.
 type endpointLatencyOut struct {
-	Total  metrics.QuantileSummary `json:"total"`
-	Queue  metrics.QuantileSummary `json:"queue"`
-	Engine metrics.QuantileSummary `json:"engine"`
-	// EngineBigring is the execution-time digest of computes that ran
-	// the big-ring engine (kept apart from Engine, the pool path, so
-	// huge-instance requests don't skew pool latencies).
-	EngineBigring metrics.QuantileSummary `json:"engineBigring"`
-	// EngineOnline is the same split for streaming sessions' resumable
-	// online engine.
-	EngineOnline metrics.QuantileSummary `json:"engineOnline"`
+	Total  metrics.QuantileSummary            `json:"total"`
+	Queue  metrics.QuantileSummary            `json:"queue"`
+	Engine map[string]metrics.QuantileSummary `json:"engine"`
 }
 
 // latencyOut digests every instrumented endpoint's histograms.
@@ -1008,37 +954,42 @@ func (s *Server) latencyOut() map[string]endpointLatencyOut {
 	out := make(map[string]endpointLatencyOut, len(latEndpoints))
 	for _, ep := range latEndpoints {
 		lat := s.lat[ep]
-		out[ep] = endpointLatencyOut{
-			Total:         lat.hist[latTotal].Snapshot().Summary(),
-			Queue:         lat.hist[latQueue].Snapshot().Summary(),
-			Engine:        lat.hist[latEngine].Snapshot().Summary(),
-			EngineBigring: lat.engineBigring.Snapshot().Summary(),
-			EngineOnline:  lat.engineOnline.Snapshot().Summary(),
+		byEngine := make(map[string]metrics.QuantileSummary, len(engine.All))
+		for i := range engine.All {
+			byEngine[engine.All[i].Name] = lat.byEngine[i].Snapshot().Summary()
 		}
+		out[ep] = endpointLatencyOut{Total: lat.total.Snapshot().Summary(), Queue: lat.queue.Snapshot().Summary(), Engine: byEngine}
 	}
 	return out
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, info(r), http.StatusOK, "", s.status())
+}
+
+// status is the /v1/statusz body, which expvar publishes as "ringserve"
+// too.
+func (s *Server) status() statuszResponse {
 	snap := s.stats.Snapshot()
 	resp := statuszResponse{
-		Schema:       Schema,
-		UptimeSec:    time.Since(s.start).Seconds(),
-		Workers:      s.cfg.Workers,
-		WorkersBusy:  s.pool.busyWorkers(),
-		QueueLen:     s.pool.queueLen(),
-		QueueDepth:   s.cfg.QueueDepth,
-		CacheEntries: s.cache.len(),
-		CacheCap:     s.cfg.CacheEntries,
-		HitRate:      snap.HitRate(),
-		Ready:        s.Ready(),
-		Sessions:     s.sessions.len(),
-		SessionsCap:  s.cfg.MaxSessions,
-		Counters:     snap,
-		Latency:      s.latencyOut(),
+		Schema:         Schema,
+		UptimeSec:      time.Since(s.start).Seconds(),
+		Workers:        s.cfg.Workers,
+		WorkersBusy:    s.pool.busyWorkers(),
+		QueueLen:       s.pool.queueLen(),
+		QueueDepth:     s.cfg.QueueDepth,
+		CacheEntries:   s.cache.len(),
+		CacheCap:       s.cfg.CacheEntries,
+		HitRate:        snap.HitRate(),
+		Ready:          s.Ready(),
+		Sessions:       s.sessions.len(),
+		SessionsCap:    s.cfg.MaxSessions,
+		Counters:       snap,
+		EngineComputes: s.EngineComputes(),
+		Latency:        s.latencyOut(),
 	}
 	if s.cfg.ExtraStatus != nil {
 		resp.Cluster = s.cfg.ExtraStatus()
 	}
-	writeJSON(w, info(r), http.StatusOK, "", resp)
+	return resp
 }

@@ -119,25 +119,26 @@ func TestScheduleCapAndOnline(t *testing.T) {
 	}
 }
 
+// TestScheduleDistributed: the retired options.distributed field is
+// ignored like any unknown field. The goroutine runtime computes the same
+// schedule as the pool engine (pinned by the root package's tests and
+// the chaos cross-check), so the answer is the pool body, byte for byte,
+// from the same cache entry.
 func TestScheduleDistributed(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	in := unitInstance(t, []int64{6, 0, 0, 2})
-	w := post(t, s, "/v1/schedule", ScheduleRequest{
-		Instance:  in,
-		Algorithm: "B2",
-		Options:   ScheduleReqOptions{Distributed: true},
-	})
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
+	plain := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "B2"})
+	if plain.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", plain.Code, plain.Body.String())
 	}
-	dresp := decodeBody[ScheduleResponse](t, w)
-
-	// The distributed runtime executes the same schedule as the
-	// sequential engine.
-	w = post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "B2"})
-	sresp := decodeBody[ScheduleResponse](t, w)
-	if dresp.Makespan != sresp.Makespan {
-		t.Fatalf("distributed makespan %d != sequential %d", dresp.Makespan, sresp.Makespan)
+	raw := fmt.Sprintf(`{"instance":%s,"algorithm":"B2","options":{"distributed":true}}`, mustJSON(t, in))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(raw)))
+	if w.Code != http.StatusOK || w.Header().Get("X-Ringserve-Cache") != "hit" {
+		t.Fatalf("distributed request: status %d, cache %q, body %s", w.Code, w.Header().Get("X-Ringserve-Cache"), w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), plain.Body.Bytes()) {
+		t.Fatalf("distributed body %s differs from the pool body %s", w.Body, plain.Body)
 	}
 }
 
@@ -390,7 +391,7 @@ func TestRequestTimeout(t *testing.T) {
 	w := post(t, s, "/v1/schedule", ScheduleRequest{
 		Instance:  in,
 		Algorithm: "A1",
-		Options:   ScheduleReqOptions{TimeoutMs: 5},
+		Options:   RequestOptions{TimeoutMs: 5},
 	})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", w.Code, w.Body.String())

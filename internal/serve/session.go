@@ -72,7 +72,7 @@ func (sess *session) snapshotLocked(terminal bool) SessionSnapshot {
 	return SessionSnapshot{
 		Schema:      Schema,
 		ID:          sess.id,
-		Engine:      "online",
+		Engine:      sessionEngine.Name,
 		M:           sess.m,
 		Now:         snap.Now,
 		Quiescent:   snap.Quiescent,
@@ -212,7 +212,7 @@ func (s *Server) drainSessions() {
 		if s.accessLog != nil {
 			tr := metrics.NewTrace()
 			tr.Add("drain", "", start, time.Since(start))
-			tr.Add("engine=online", "drain", start, time.Since(start))
+			tr.Add("engine="+sessionEngine.Name, "drain", start, time.Since(start))
 			rec := tr.Record(sess.id, "session")
 			rec.Status = http.StatusOK
 			if err != nil {
@@ -239,16 +239,12 @@ func (s *Server) sessionCompute(ctx context.Context, ri *reqInfo, f func(ctx con
 		execStart := time.Now()
 		endCompute := ri.span("compute", "")
 		endEngine := ri.span("engine", "compute")
-		endLabel := ri.span("engine=online", "engine")
+		endLabel := ri.span("engine="+sessionEngine.Name, "engine")
 		err := guard(s.stats, func() error { return f(ctx) })
 		endLabel()
 		endEngine()
 		endCompute()
-		if err == nil {
-			s.stats.Compute()
-			s.stats.ComputeOnline()
-		}
-		ri.observeEngine(execStart, time.Since(execStart), "online")
+		s.computed(ri, sessionEngine, execStart, err)
 		ch <- err
 	})
 	if !ok {
@@ -327,7 +323,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, info(r), http.StatusOK, "", SessionCreateResponse{
 		Schema:          Schema,
 		ID:              sess.id,
-		Engine:          "online",
+		Engine:          sessionEngine.Name,
 		M:               m,
 		TTLMs:           ttl.Milliseconds(),
 		Now:             eng.Now(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if w := do(t, s, http.MethodGet, "/v1/session/"+created.ID); w.Code != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d", w.Code)
 	}
-	if got := s.Stats(); got.SessionsCreated != 1 || got.SessionAppends != int64(len(waves)) || got.ComputesOnline < int64(len(waves)) {
+	if got := s.Stats(); got.SessionsCreated != 1 || got.SessionAppends != int64(len(waves)) || s.EngineComputes()["online"] < int64(len(waves)) {
 		t.Fatalf("session counters %+v", got)
 	}
 }
@@ -480,19 +481,23 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	}
 	for _, name := range []string{"A1", "B1", "C1", "A2", "B2", "C2"} {
 		a, ok := byName[name]
-		if !ok || a.Kind != "bucket" || !a.Compare || !a.Distributed {
+		if !ok || a.Kind != "bucket" || !a.Compare || strings.Join(a.Engines, ",") != "bigring,pool" {
 			t.Fatalf("algorithm %s: %+v", name, a)
 		}
 	}
-	if a := byName["online"]; !a.Sessions || a.Kind != "online" {
-		t.Fatalf("online entry %+v", a)
+	if a := byName["cap"]; !a.Unit || strings.Join(a.Engines, ",") != "pool" {
+		t.Fatalf("cap entry %+v", a)
 	}
-	if _, ok := byName["cap"]; !ok {
-		t.Fatal("cap missing")
+	if a := byName["online"]; !a.Sessions || a.Kind != "online" || strings.Join(a.Engines, ",") != "online" {
+		t.Fatalf("online entry %+v", a)
 	}
 	engines := make(map[string]EngineInfo, len(resp.Engines))
 	for _, e := range resp.Engines {
 		engines[e.Name] = e
+	}
+	// The goroutine runtime is not a serving engine: no catalog entry.
+	if _, ok := engines["dist"]; ok || len(engines) != 3 {
+		t.Fatalf("engines %v, want exactly bigring, online and pool", resp.Engines)
 	}
 	if engines["bigring"].AutoThreshold != 50_000 {
 		t.Fatalf("bigring threshold %d", engines["bigring"].AutoThreshold)
