@@ -47,14 +47,21 @@ func TestRunSuiteTelemetry(t *testing.T) {
 		}
 	}
 
-	// Live progress: one snapshot per case, monotone, with totals.
+	// Live progress: one snapshot per completed case, monotone, with
+	// totals. Suite workers finish cases in any order, so each case ID
+	// appears exactly once, in no particular position.
 	if len(snaps) != len(cases) {
 		t.Fatalf("progress snapshots = %d, want %d", len(snaps), len(cases))
 	}
+	pending := map[string]bool{}
+	for _, c := range cases {
+		pending[c.ID] = true
+	}
 	for i, p := range snaps {
-		if p.Done != i+1 || p.Total != len(cases) || p.CaseID != cases[i].ID {
+		if p.Done != i+1 || p.Total != len(cases) || !pending[p.CaseID] {
 			t.Errorf("snapshot %d = %+v", i, p)
 		}
+		delete(pending, p.CaseID)
 	}
 
 	aggs := rep.TelemetryByAlg()

@@ -11,6 +11,13 @@
 // arbitrary job sizes (§4.2), and the capacitated window bound of Lemma 10
 // (no k consecutive processors may start with more than (k+2)L jobs when
 // links carry one job per step).
+//
+// Both window bounds are maximized over every circular window without
+// enumerating windows. With c = L-1, a window certifies a bound of at
+// least L exactly when its excess over c, the sum of x_j - c across it,
+// is above c(c-1) (Lemma 1) or 2c (Lemma 10). The largest excess of any
+// window is one maximum-circular-subarray pass, so each bound is a binary
+// search over L of O(m) passes: O(m log n) for total work n.
 package lb
 
 import (
@@ -56,68 +63,21 @@ func WindowBoundAt(works []int64, i, k int) int64 {
 }
 
 // WindowBound returns the best (largest) Lemma 1 bound over all windows of
-// all lengths 1..m, including windows that wrap around the ring. It runs in
-// O(m^2) time and O(1) extra space, which matches the paper's "m^2" note
-// and is instantaneous for the ring sizes in the study (m <= 1000).
+// all lengths 1..m, including windows that wrap around the ring: the
+// largest L for which some window's excess over L-1 is above
+// (L-1)(L-2). No window holds more than the total work n, so L lies in
+// [0, windowLB(1, n)].
 func WindowBound(works []int64) int64 {
-	m := len(works)
-	var best int64
-	for i := 0; i < m; i++ {
-		var S int64
-		for k := 1; k <= m; k++ {
-			S += works[(i+k-1)%m]
-			if b := windowLB(k, S); b > best {
-				best = b
-			}
-		}
-	}
-	return best
+	n := sum(works)
+	return largest(windowLB(1, n), func(c int64) bool {
+		return maxExcess(works, n, c) > c*(c-1)
+	})
 }
 
-// WindowBoundSparse maximizes the Lemma 1 bound over windows of the
-// geometric lengths 1, 2, 4, ..., m only (every start index, wrapping),
-// using rolling window sums: O(m log m) against WindowBound's O(m^2).
-// Every value it returns is still certified by an explicit window — it
-// is a true lower bound — it just may sit below WindowBound's maximum
-// when the best window length falls between two powers of two. Built
-// for the huge rings the big-ring engine serves, where the exact scan
-// is unaffordable.
-func WindowBoundSparse(works []int64) int64 {
-	m := len(works)
-	var ks []int
-	for k := 1; k < m; k *= 2 {
-		ks = append(ks, k)
-	}
-	ks = append(ks, m)
-	var best int64
-	for _, k := range ks {
-		var S int64
-		for h := 0; h < k; h++ {
-			S += works[h]
-		}
-		for i := 0; i < m; i++ {
-			if b := windowLB(k, S); b > best {
-				best = b
-			}
-			S += works[(i+k)%m] - works[i]
-		}
-	}
-	return best
-}
-
-// BestSparse is Best with WindowBoundSparse standing in for the exact
-// window scan: the strongest cheaply-certifiable lower bound for huge
-// rings.
-func BestSparse(in instance.Instance) int64 {
-	b := WindowBoundSparse(in.Works())
-	if a := AverageBound(in); a > b {
-		b = a
-	}
-	if p := PMaxBound(in); p > b {
-		b = p
-	}
-	return b
-}
+// BestSparse is Best.
+//
+// Deprecated: WindowBound is exact and O(m log n) at every ring size; use Best.
+func BestSparse(in instance.Instance) int64 { return Best(in) }
 
 // AverageBound returns ceil(n/m): m processors can complete at most m units
 // of work per step.
@@ -162,21 +122,15 @@ func CapWindowBoundAt(works []int64, i, k int) int64 {
 	return (S + d - 1) / d
 }
 
-// CapWindowBound maximizes the Lemma 10 bound over all windows.
+// CapWindowBound maximizes the Lemma 10 bound over all windows: the
+// largest L for which some window's excess over L-1 is above 2(L-1).
+// A window of k >= 1 processors holds at most n, so L lies in
+// [0, ceil(n/3)].
 func CapWindowBound(works []int64) int64 {
-	m := len(works)
-	var best int64
-	for i := 0; i < m; i++ {
-		var S int64
-		for k := 1; k <= m; k++ {
-			S += works[(i+k-1)%m]
-			d := int64(k + 2)
-			if b := (S + d - 1) / d; b > best {
-				best = b
-			}
-		}
-	}
-	return best
+	n := sum(works)
+	return largest((n+2)/3, func(c int64) bool {
+		return maxExcess(works, n, c) > 2*c
+	})
 }
 
 // Capacitated returns the strongest lower bound for the unit-capacity-link
@@ -195,4 +149,61 @@ func Capacitated(in instance.Instance) int64 {
 // (Lemma 2). The §3 adversary and its tests build instances from this.
 func MaxWindowWork(k int, L int64) int64 {
 	return L*L + int64(k-1)*L
+}
+
+// largest returns the largest L in [0, hi] that certifies(L-1) accepts,
+// given that it accepts every L up to some point and none after.
+func largest(hi int64, certifies func(c int64) bool) int64 {
+	var lo int64
+	for lo < hi {
+		if mid := hi - (hi-lo)/2; certifies(mid - 1) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// maxExcess returns the largest sum of x_j - c over a circular window of
+// works, the empty window (0) included, for total work n >= 1 and c >= 0.
+// Every sum it forms stays within 2n of zero, whatever m*c is.
+func maxExcess(works []int64, n, c int64) int64 {
+	m := int64(len(works))
+	var best, run int64
+	if c > (n-1)/m {
+		// The whole ring's excess n - m*c is at most 0, so a run longer
+		// than the ring is never worth more than the window it
+		// contains after dropping one lap. Kadane over two laps is
+		// exact, and a run that hits 0 in the second lap cannot wrap.
+		for lap := 0; lap < 2; lap++ {
+			for _, x := range works {
+				run = max(0, run+x-c)
+				best = max(best, run)
+				if lap == 1 && run == 0 {
+					return best
+				}
+			}
+		}
+		return best
+	}
+	// m*c < n, which bounds every partial sum. A window that
+	// wraps is the ring minus a (possibly empty) linear gap.
+	var gap, minGap int64
+	for _, x := range works {
+		v := x - c
+		run = max(0, run+v)
+		best = max(best, run)
+		gap = min(0, gap+v)
+		minGap = min(minGap, gap)
+	}
+	return max(best, n-m*c-minGap)
+}
+
+func sum(works []int64) int64 {
+	var n int64
+	for _, x := range works {
+		n += x
+	}
+	return n
 }

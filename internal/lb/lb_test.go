@@ -220,48 +220,10 @@ func TestMaxWindowWorkConsistentWithWindowLB(t *testing.T) {
 	}
 }
 
-func TestWindowBoundSparseIsCertifiedAndClose(t *testing.T) {
-	// The sparse scan must never exceed the exact maximum (every value
-	// it reports is certified by a real window), must dominate the
-	// single-processor and full-ring windows it always includes, and on
-	// a power-of-two-friendly pile must match the exact scan.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 40; trial++ {
-		m := 1 + rng.Intn(130)
-		works := make([]int64, m)
-		for i := range works {
-			if rng.Intn(2) == 0 {
-				works[i] = int64(rng.Intn(500))
-			}
-		}
-		exact := WindowBound(works)
-		sparse := WindowBoundSparse(works)
-		if sparse > exact {
-			t.Fatalf("m=%d: sparse %d > exact %d (uncertified bound)", m, sparse, exact)
-		}
-		var pmax int64
-		for _, w := range works {
-			if w > pmax {
-				pmax = w
-			}
-		}
-		if single := windowLB(1, pmax); sparse < single {
-			t.Fatalf("m=%d: sparse %d below the k=1 window %d it scans", m, sparse, single)
-		}
-	}
-	// One unit of work on one processor of a 64-ring: the best window is
-	// k=1, a scanned length, so sparse == exact.
-	pile := make([]int64, 64)
-	pile[17] = 10_000
-	if s, e := WindowBoundSparse(pile), WindowBound(pile); s != e {
-		t.Fatalf("single pile: sparse %d != exact %d", s, e)
-	}
-}
-
 func TestBestSparseDominatesComponents(t *testing.T) {
 	in := instance.NewUnit([]int64{0, 900, 0, 0, 3, 0, 0, 0})
 	b := BestSparse(in)
-	if b < AverageBound(in) || b < PMaxBound(in) || b < WindowBoundSparse(in.Works()) {
+	if b < AverageBound(in) || b < PMaxBound(in) || b < WindowBound(in.Works()) {
 		t.Fatalf("BestSparse %d below a component", b)
 	}
 	if b > Best(in) {

@@ -82,41 +82,26 @@ func (in Instance) MaxRelease() int64 {
 // every release threshold r, the jobs released at or after r form a
 // static sub-instance that cannot start before r, so the optimum is at
 // least r plus that sub-instance's Lemma 1 bound. The thresholds worth
-// checking are exactly the distinct release times.
+// checking are exactly the distinct release times. Walking them latest
+// first, each threshold adds its batches to one work vector, so d
+// distinct release times cost O(b log b) for b batches plus d window
+// bounds of O(m log n) each.
 func LowerBound(in Instance) int64 {
-	if len(in.Batches) == 0 {
-		return 0
-	}
-	var best int64
-	seen := map[int64]bool{}
-	for _, b := range in.Batches {
-		if seen[b.Time] {
-			continue
+	bs := append([]Batch(nil), in.Batches...)
+	sort.Slice(bs, func(i, j int) bool { return bs[i].Time > bs[j].Time })
+	works := make([]int64, in.M)
+	m := int64(in.M)
+	var n, best int64
+	for i := 0; i < len(bs); {
+		r := bs[i].Time
+		for ; i < len(bs) && bs[i].Time == r; i++ {
+			works[bs[i].Proc] += bs[i].Count
+			n += bs[i].Count
 		}
-		seen[b.Time] = true
-		works := make([]int64, in.M)
-		for _, c := range in.Batches {
-			if c.Time >= b.Time {
-				works[c.Proc] += c.Count
-			}
-		}
-		static := lb.WindowBound(works)
-		if avg := avgBound(works, in.M); avg > static {
-			static = avg
-		}
-		if v := b.Time + static; v > best {
-			best = v
-		}
+		static := max(lb.WindowBound(works), (n+m-1)/m)
+		best = max(best, r+static)
 	}
 	return best
-}
-
-func avgBound(works []int64, m int) int64 {
-	var n int64
-	for _, x := range works {
-		n += x
-	}
-	return (n + int64(m) - 1) / int64(m)
 }
 
 func (in Instance) topology() ring.Topology { return ring.New(in.M) }

@@ -152,16 +152,14 @@ func TestScheduleEngineCacheSplit(t *testing.T) {
 	}
 }
 
-// TestScheduleLowerBoundBySize: the lower bound follows the ring size,
-// not the engine. One small instance gets the same exact bound (and so
-// the same body, engine stamp aside) from both static engines, where
-// the exact and sparse window scans disagree.
+// TestScheduleLowerBoundBySize: the lower bound does not depend on the
+// engine. One small instance gets the same exact bound, 8, (and so the
+// same body, engine stamp aside) from both static engines. The best
+// window here has length 3, so windows of power-of-two lengths alone
+// certify only 7.
 func TestScheduleLowerBoundBySize(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	in := unitInstance(t, []int64{0, 0, 0, 0, 0, 0, 0, 29, 4, 34, 0})
-	if lb.Best(in) == lb.BestSparse(in) {
-		t.Fatalf("instance does not separate the bounds (both %d)", lb.Best(in))
-	}
 	bodies := map[string]ScheduleResponse{}
 	for _, eng := range []string{"pool", "bigring"} {
 		w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1", Options: RequestOptions{Engine: eng}})
@@ -169,8 +167,8 @@ func TestScheduleLowerBoundBySize(t *testing.T) {
 			t.Fatalf("%s: status %d, body %s", eng, w.Code, w.Body.String())
 		}
 		resp := decodeBody[ScheduleResponse](t, w)
-		if resp.Engine != eng || resp.LowerBound != lb.Best(in) {
-			t.Fatalf("%s: engine %q, lower bound %d, want %d", eng, resp.Engine, resp.LowerBound, lb.Best(in))
+		if resp.Engine != eng || resp.LowerBound != 8 {
+			t.Fatalf("%s: engine %q, lower bound %d, want 8", eng, resp.Engine, resp.LowerBound)
 		}
 		resp.Engine = ""
 		bodies[eng] = resp
@@ -180,28 +178,45 @@ func TestScheduleLowerBoundBySize(t *testing.T) {
 	}
 }
 
-// TestScheduleHugePoolRingBound: a ring past exactBoundMaxM that auto
-// routing leaves on the pool engine carries the sparse bound and answers
-// well within its timeout; the exact O(m²) scan alone would take tens
-// of seconds at this size.
+// hugePileRing is a ring of 2^15 processors with x jobs on each of
+// processors 100-102: past the ring sizes an O(m²) window scan can serve
+// (tens of seconds, whatever x is), with little work for the engines.
+func hugePileRing(t *testing.T, x int64) instance.Instance {
+	works := make([]int64, 1<<15)
+	works[100], works[101], works[102] = x, x, x
+	return unitInstance(t, works)
+}
+
+// TestScheduleHugePoolRingBound: a huge ring that auto routing leaves on
+// the pool engine carries the exact Lemma 1 bound, 17 from the
+// three-processor window, and answers well within its timeout.
 func TestScheduleHugePoolRingBound(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	const m = 1 << 15
-	works := make([]int64, m)
-	for i := range works {
-		works[i] = 2
-		if i%4099 == 0 {
-			works[i] = 40
-		}
-	}
-	in := unitInstance(t, works)
-	w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1", Options: RequestOptions{TimeoutMs: 10_000}})
+	w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: hugePileRing(t, 100), Algorithm: "C1", Options: RequestOptions{TimeoutMs: 10_000}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
 	resp := decodeBody[ScheduleResponse](t, w)
-	if resp.Engine != "pool" || resp.LowerBound != lb.BestSparse(in) {
-		t.Fatalf("engine %q, lower bound %d, want pool and the sparse bound %d", resp.Engine, resp.LowerBound, lb.BestSparse(in))
+	if resp.Engine != "pool" || resp.LowerBound != 17 {
+		t.Fatalf("engine %q, lower bound %d, want pool and 17", resp.Engine, resp.LowerBound)
+	}
+}
+
+// TestScheduleHugeCapRingBound: the Lemma 10 bound is exact and cheap at
+// the same size, so a cap request answers 200 within its timeout with
+// the bound lb.Capacitated certifies (6, from the three-processor
+// window). The pile is small because the capacitated run steps every
+// processor each step; 10 jobs a processor finish in 10 steps.
+func TestScheduleHugeCapRingBound(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	in := hugePileRing(t, 10)
+	w := post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "cap", Options: RequestOptions{TimeoutMs: 5000}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+	}
+	resp := decodeBody[ScheduleResponse](t, w)
+	if want := lb.Capacitated(in); resp.LowerBound != want || want != 6 {
+		t.Fatalf("lower bound %d, lb.Capacitated %d, want both 6", resp.LowerBound, want)
 	}
 }
 

@@ -660,16 +660,6 @@ func (s *Server) ScheduleKey(req ScheduleRequest) (string, error) {
 	return scheduleKey(req, req.Instance.Canonical().Fingerprint(), eng), nil
 }
 
-// exactBoundMaxM is the largest ring whose uncapacitated schedule
-// responses carry the exact Lemma 1 window scan, lb.Best, which is
-// O(m²); larger rings carry lb.BestSparse, O(m log m), still certified
-// but possibly lower. The bound follows the ring size, not the engine,
-// so every engine answers one instance with the same bound. On a 2-vCPU
-// VM the exact scan takes about 0.27 s at m = 4096 and 20 s at
-// m = 32768; the sparse one 36 ms at m = 10^5. Every ring of Table 1 and
-// of the cold benchmark workload (m <= 2048) keeps the exact bound.
-const exactBoundMaxM = 4096
-
 func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp instance.Fingerprint, req ScheduleRequest, eng *engine.Engine) (any, error) {
 	resp := ScheduleResponse{
 		Schema:      Schema,
@@ -708,13 +698,10 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 	resp.Makespan, resp.Steps = res.Makespan, res.Steps
 	resp.JobHops, resp.Messages = res.JobHops, res.Messages
 	resp.Utilization = res.Utilization()
-	switch {
-	case opts.LinkCapacity > 0:
+	if opts.LinkCapacity > 0 {
 		resp.LowerBound = lb.Capacitated(in)
-	case in.M <= exactBoundMaxM:
+	} else {
 		resp.LowerBound = lb.Best(in)
-	default:
-		resp.LowerBound = lb.BestSparse(in)
 	}
 	return resp, nil
 }
