@@ -88,90 +88,137 @@ func (in Instance) Canonical() Instance {
 		return out
 	}
 	if in.Unit != nil {
-		fwd := bestRotation(in.Unit, compareInt64)
-		rev := reversedInt64(in.Unit)
-		bwd := bestRotation(rev, compareInt64)
-		if slices.Compare(bwd, fwd) < 0 {
-			fwd = bwd
-		}
-		return Instance{M: m, Unit: fwd}
+		return Instance{M: m, Unit: gather(in.Unit, leastReading(in.Unit))}
 	}
 	rows := make([][]int64, m)
 	for i, row := range in.Sized {
 		rows[i] = cloneRow(row)
 		slices.Sort(rows[i])
 	}
-	fwd := bestRotation(rows, compareRow)
-	rev := make([][]int64, m)
-	for i := range rows {
-		rev[i] = rows[m-1-i]
-	}
-	bwd := bestRotation(rev, compareRow)
-	if slices.CompareFunc(bwd, fwd, compareRow) < 0 {
-		fwd = bwd
-	}
-	return Instance{M: m, Sized: fwd}
+	return Instance{M: m, Sized: gather(rows, leastReading(rowRanks(rows)))}
 }
 
-func compareInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// rowRanks maps every row to its rank among the distinct rows in
+// lexicographic order. Ranks order like the rows they stand for, so the
+// least reading of the ranks is the least reading of the rows, found by
+// comparing integers instead of rows.
+func rowRanks(rows [][]int64) []int64 {
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
 	}
-	return 0
-}
-
-func compareRow(a, b []int64) int { return slices.Compare(a, b) }
-
-func reversedInt64(s []int64) []int64 {
-	out := make([]int64, len(s))
-	for i, x := range s {
-		out[len(s)-1-i] = x
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(rows[a], rows[b]) })
+	ranks := make([]int64, len(rows))
+	for i := 1; i < len(order); i++ {
+		ranks[order[i]] = ranks[order[i-1]]
+		if !slices.Equal(rows[order[i]], rows[order[i-1]]) {
+			ranks[order[i]]++
+		}
 	}
-	return out
+	return ranks
 }
 
-// bestRotation materializes the lexicographically least rotation of s.
-func bestRotation[T any](s []T, cmp func(a, b T) int) []T {
-	k := leastRotation(s, cmp)
-	out := make([]T, 0, len(s))
-	out = append(out, s[k:]...)
-	out = append(out, s[:k]...)
-	return out
+// reading is one walk around a ring of n elements that starts at ring
+// index start: forward visits start, start+1, ... and backward visits
+// the reversed ring (n-1-start, n-2-start, ...), both wrapping mod n.
+// It lets the least-rotation scan and the duel between the two
+// directions read any rotation of the ring or of its reversal in
+// place.
+type reading struct {
+	n, start int
+	rev      bool
 }
 
-// leastRotation returns the start index of the lexicographically least
-// rotation of s, via the classic O(n) two-candidate scan (Booth-style):
-// i and j are the two best candidate start positions, k the length of
-// their common prefix; a mismatch eliminates k+1 candidates at once.
-func leastRotation[T any](s []T, cmp func(a, b T) int) int {
+// index maps position p of the reading, 0 <= p < 2n-start, to its ring
+// index with one conditional subtraction instead of a division.
+func (r reading) index(p int) int {
+	p += r.start
+	if p >= r.n {
+		p -= r.n
+	}
+	if r.rev {
+		return r.n - 1 - p
+	}
+	return p
+}
+
+// leastReading returns the reading that spells the lexicographically
+// least of the ring's 2n dihedral copies: the least rotation read
+// forward or the least rotation read backward, whichever is smaller.
+// The two are compared in place, so neither the reversal nor the losing
+// rotation is ever copied.
+func leastReading(s []int64) reading {
 	n := len(s)
 	if n == 0 {
-		return 0
+		return reading{}
 	}
-	i, j, k := 0, 1, 0
+	least := slices.Min(s)
+	fwd := reading{n: n, start: leastRotation(s, least, false)}
+	bwd := reading{n: n, start: leastRotation(s, least, true), rev: true}
+	for p := 0; p < n; p++ {
+		if a, b := s[bwd.index(p)], s[fwd.index(p)]; a != b {
+			if a < b {
+				return bwd
+			}
+			break
+		}
+	}
+	return fwd
+}
+
+// gather copies the ring s in the order r reads it: the one copy of the
+// ring a canonicalization makes.
+func gather[T any](s []T, r reading) []T {
+	out := make([]T, len(s))
+	if !r.rev {
+		k := copy(out, s[r.start:])
+		copy(out[k:], s[:r.start])
+		return out
+	}
+	for p := range out {
+		out[p] = s[r.index(p)]
+	}
+	return out
+}
+
+// leastRotation returns the start of the lexicographically least
+// rotation of the ring s read forward, or read backward when rev is
+// set, via the classic O(n) two-candidate scan (Booth-style): i and j
+// are the two best candidate starts, k the length of their common
+// prefix; a mismatch eliminates k+1 starts at once. A least rotation
+// begins with least, the ring's least element, so the scan skips every
+// other start without comparing rotations.
+func leastRotation(s []int64, least int64, rev bool) int {
+	n := len(s)
+	r := reading{n: n, rev: rev}
+	// next returns the first start at or after p that holds the least
+	// element, or a value >= n when there is none.
+	next := func(p int) int {
+		for p < n && s[r.index(p)] != least {
+			p++
+		}
+		return p
+	}
+	i := next(0)
+	j := next(i + 1)
+	k := 0
 	for i < n && j < n && k < n {
-		c := cmp(s[(i+k)%n], s[(j+k)%n])
-		if c == 0 {
+		a, b := s[r.index(i+k)], s[r.index(j+k)]
+		if a == b {
 			k++
 			continue
 		}
-		if c > 0 {
-			i += k + 1
+		if a > b {
+			i = next(i + k + 1)
 		} else {
-			j += k + 1
+			j = next(j + k + 1)
 		}
 		if i == j {
-			j++
+			j = next(j + 1)
 		}
 		k = 0
 	}
-	if i < j {
-		return i
-	}
-	return j
+	return min(i, j)
 }
 
 // Fingerprint is a stable content hash of an instance's canonical form:
@@ -198,32 +245,41 @@ const fingerprintVersion = "ringsched.instance.fp/v1"
 // fingerprints identify instances that are equal up to rotation and
 // reflection of the ring.
 func (in Instance) Fingerprint() Fingerprint {
+	_, f := in.CanonicalFingerprint()
+	return f
+}
+
+// CanonicalFingerprint returns Canonical() and Fingerprint() from one
+// canonicalization, for callers that need both.
+func (in Instance) CanonicalFingerprint() (Instance, Fingerprint) {
 	c := in.Canonical()
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	writeInt := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		h.Write(buf[:n])
-	}
-	h.Write([]byte(fingerprintVersion))
-	if c.Unit != nil {
-		h.Write([]byte{'u'})
-		writeInt(int64(c.M))
-		for _, x := range c.Unit {
-			writeInt(x)
+	return c, c.hash()
+}
+
+// hash fingerprints an instance already in canonical form: SHA-256
+// over the version tag, a kind byte and the varints of m and the loads
+// (unit) or of m and every row's length and sizes (sized), collected in
+// one buffer so the digest takes a single write.
+func (in Instance) hash() Fingerprint {
+	b := make([]byte, 0, len(fingerprintVersion)+1+binary.MaxVarintLen64+2*in.M)
+	b = append(b, fingerprintVersion...)
+	if in.Unit != nil {
+		b = append(b, 'u')
+		b = binary.AppendVarint(b, int64(in.M))
+		for _, x := range in.Unit {
+			b = binary.AppendVarint(b, x)
 		}
 	} else {
-		h.Write([]byte{'s'})
-		writeInt(int64(c.M))
-		for _, row := range c.Sized {
-			writeInt(int64(len(row)))
+		b = append(b, 's')
+		b = binary.AppendVarint(b, int64(in.M))
+		for _, row := range in.Sized {
+			b = binary.AppendVarint(b, int64(len(row)))
 			for _, p := range row {
-				writeInt(p)
+				b = binary.AppendVarint(b, p)
 			}
 		}
 	}
-	var f Fingerprint
-	h.Sum(f.SHA[:0])
+	f := Fingerprint{SHA: sha256.Sum256(b)}
 	f.Hash64 = binary.BigEndian.Uint64(f.SHA[:8])
 	return f
 }

@@ -296,8 +296,16 @@ func (in Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON decodes the wire form produced by MarshalJSON.
+// UnmarshalJSON decodes the wire form produced by MarshalJSON. The
+// unit form is scanned in one pass (decodeUnit); every other input —
+// sized instances, escapes, unknown, repeated or case-folded keys,
+// exponents, out-of-range numbers, null — takes the encoding/json path.
+// Both paths end in Validate.
 func (in *Instance) UnmarshalJSON(data []byte) error {
+	if u, ok := decodeUnit(data); ok {
+		*in = u
+		return in.Validate()
+	}
 	var j jsonInstance
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err

@@ -334,16 +334,21 @@ func Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) 
 
 // ---- request plumbing ----
 
-// decode reads a JSON body into v under the body-size cap.
+// decode reads a body holding exactly one JSON value into v under the
+// body-size cap; anything but whitespace after that value is refused.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, instance.ErrInvalid) {
 			// Instance validation happens inside UnmarshalJSON; keep
 			// that sentinel visible so the 400 carries invalid_instance.
 			return err
 		}
 		return fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: data after the request body's JSON value", errBadRequest)
 	}
 	return nil
 }
@@ -420,9 +425,10 @@ type computeSpec struct {
 	// engine is the compute engine the stats and histograms attribute
 	// the run to.
 	engine *engine.Engine
-	// peerReq is the canonical request body a peer can replay to
-	// produce byte-identical output; nil means "never forward".
-	peerReq []byte
+	// peerReq is the canonical request a peer can replay to produce
+	// byte-identical output, marshaled only when produce forwards it;
+	// nil means "never forward".
+	peerReq any
 	// compute is the local computation; it runs on a worker goroutine,
 	// must be pure in the request, and should honor ctx.
 	compute func(ctx context.Context) (any, error)
@@ -441,9 +447,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 	if forwarded {
 		s.stats.PeerServed()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.timeoutMs))
-	defer cancel()
-
 	endLookup := ri.span("cache", "")
 	body, hit := s.cache.get(spec.key)
 	endLookup()
@@ -451,6 +454,8 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 		writeRaw(w, ri, http.StatusOK, "hit", body)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(spec.timeoutMs))
+	defer cancel()
 	for {
 		call, leader := s.flight.join(spec.key)
 		if !leader {
@@ -497,15 +502,23 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 }
 
 // produce runs the leader's side of a flight: a peer fetch when the
-// request is shardable and a cluster Remote is attached, local compute
-// on the worker pool otherwise (including the graceful-degradation path
-// when the owner is unreachable — Remote reports ok=false and the
-// answer is computed here rather than failing the request). It returns
-// the wire body plus the X-Ringserve-Cache verdict.
+// request is shardable, a cluster Remote is attached and the request is
+// not itself a forward; local compute on the worker pool otherwise
+// (including the graceful-degradation path when the owner is
+// unreachable — Remote reports ok=false and the answer is computed here
+// rather than failing the request). It returns the wire body plus the
+// X-Ringserve-Cache verdict.
 func (s *Server) produce(ctx context.Context, ri *reqInfo, spec computeSpec, forwarded bool) ([]byte, string, error) {
 	if rem := s.cfg.Remote; rem != nil && spec.peerReq != nil && !forwarded {
 		endPeer := ri.span("peer", "")
-		body, ok := rem.Fetch(ctx, spec.endpoint, spec.key, spec.peerReq)
+		// Request types marshal by construction; a failure just skips
+		// the forward.
+		req, err := json.Marshal(spec.peerReq)
+		ok := err == nil
+		var body []byte
+		if ok {
+			body, ok = rem.Fetch(ctx, spec.endpoint, spec.key, req)
+		}
 		endPeer()
 		if ok {
 			return body, "peer", nil
@@ -558,17 +571,6 @@ func (s *Server) produce(ctx context.Context, ri *reqInfo, spec computeSpec, for
 	}
 }
 
-// peerForm marshals the canonical request a peer would replay; nil (on
-// a marshal failure, which request types rule out by construction)
-// simply disables forwarding for this request.
-func peerForm(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil
-	}
-	return b
-}
-
 // ---- endpoints ----
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -601,8 +603,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// processor indices break the symmetry, so those requests run on
 	// their exact form.
 	endCanon := info(r).span("canonicalize", "")
-	can := req.Instance.Canonical()
-	fp := can.Fingerprint()
+	can, fp := req.Instance.CanonicalFingerprint()
 	endCanon()
 	runOn := can
 	if len(req.Arrivals) > 0 {
@@ -615,7 +616,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		key:       scheduleKey(req, fp, eng),
 		timeoutMs: req.Options.TimeoutMs,
 		engine:    eng,
-		peerReq:   peerForm(ScheduleRequest{Instance: runOn, Algorithm: req.Algorithm, Options: req.Options, Arrivals: req.Arrivals}),
+		peerReq:   ScheduleRequest{Instance: runOn, Algorithm: req.Algorithm, Options: req.Options, Arrivals: req.Arrivals},
 		compute: func(ctx context.Context) (any, error) {
 			defer ri.span("engine", "compute")()
 			defer ri.span("engine="+eng.Name, "engine")()
@@ -657,7 +658,7 @@ func (s *Server) ScheduleKey(req ScheduleRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return scheduleKey(req, req.Instance.Canonical().Fingerprint(), eng), nil
+	return scheduleKey(req, req.Instance.Fingerprint(), eng), nil
 }
 
 func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp instance.Fingerprint, req ScheduleRequest, eng *engine.Engine) (any, error) {
@@ -746,8 +747,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := info(r)
 	endCanon := ri.span("canonicalize", "")
-	can := req.Instance.Canonical()
-	fp := can.Fingerprint()
+	can, fp := req.Instance.CanonicalFingerprint()
 	endCanon()
 	key := fmt.Sprintf("optimal|%s|cap=%t|%s|exact=%t",
 		fp.String(), req.Capacitated, optKey(req.Limits), req.RequireExact)
@@ -757,7 +757,7 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 		key:       key,
 		timeoutMs: req.Limits.DeadlineMs,
 		engine:    engine.Serving("/v1/optimal"),
-		peerReq:   peerForm(OptimalRequest{Instance: can, Capacitated: req.Capacitated, Limits: req.Limits, RequireExact: req.RequireExact}),
+		peerReq:   OptimalRequest{Instance: can, Capacitated: req.Capacitated, Limits: req.Limits, RequireExact: req.RequireExact},
 		compute: func(ctx context.Context) (any, error) {
 			defer ri.span("solver", "compute")()
 			resp, err := solveOptimal(ctx, can, fp, req.Capacitated, req.Limits)
@@ -825,8 +825,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := info(r)
 	endCanon := ri.span("canonicalize", "")
-	can := req.Instance.Canonical()
-	fp := can.Fingerprint()
+	can, fp := req.Instance.CanonicalFingerprint()
 	endCanon()
 	key := fmt.Sprintf("compare|%s|algs=%v|%s", fp.String(), algs, optKey(req.Limits))
 
@@ -835,7 +834,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		key:       key,
 		timeoutMs: req.timeoutMs(),
 		engine:    engine.Serving("/v1/compare"),
-		peerReq:   peerForm(CompareRequest{Instance: can, Algorithms: algs, Limits: req.Limits, Options: req.Options, TimeoutMs: req.TimeoutMs}),
+		peerReq:   CompareRequest{Instance: can, Algorithms: algs, Limits: req.Limits, Options: req.Options, TimeoutMs: req.TimeoutMs},
 		compute: func(ctx context.Context) (any, error) {
 			endSolver := ri.span("solver", "compute")
 			optResp, err := solveOptimal(ctx, can, fp, false, req.Limits)
