@@ -154,12 +154,12 @@ func run(args []string, out, errw io.Writer) error {
 	casesDone.Set(0)
 	deadlineHits.Set(0)
 	solverStart := metrics.Solver.Snapshot()
-	publishSolver := func() metrics.SolverSnapshot {
+	publishSolver := func() metrics.CounterSnapshot[metrics.SolverStat] {
 		d := metrics.Solver.Snapshot().Sub(solverStart)
-		solverProbes.Set(d.Probes)
-		solverMemoHits.Set(d.MemoHits)
-		solverWarmReuses.Set(d.WarmReuses)
-		solverColdBuilds.Set(d.ColdBuilds)
+		solverProbes.Set(d.Get(metrics.SolverProbe))
+		solverMemoHits.Set(d.Get(metrics.SolverMemoHit))
+		solverWarmReuses.Set(d.Get(metrics.SolverWarmReuse))
+		solverColdBuilds.Set(d.Get(metrics.SolverColdBuild))
 		return d
 	}
 	publishSolver()
@@ -183,7 +183,7 @@ func run(args []string, out, errw io.Writer) error {
 	solver := publishSolver()
 	if !*quiet {
 		fmt.Fprintf(errw, "solver: probes=%d memo-hits=%d warm-reuses=%d cold-builds=%d\n",
-			solver.Probes, solver.MemoHits, solver.WarmReuses, solver.ColdBuilds)
+			solver.Get(metrics.SolverProbe), solver.Get(metrics.SolverMemoHit), solver.Get(metrics.SolverWarmReuse), solver.Get(metrics.SolverColdBuild))
 	}
 
 	if *faults != "" {

@@ -74,6 +74,38 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// stat indexes the node's counter table, statRows. Adding a counter
+// costs one entry here and one row there: /metrics and the /v1/statusz
+// cluster block both render from the row.
+type stat int
+
+const (
+	statFetches stat = iota
+	statFetchFailures
+	statRetries
+	statDegraded
+	statBreakerOpens
+	statBreakerCloses
+	statProbes
+	statProbeFailures
+	numStats
+)
+
+// breakerTransitions is the breaker-transition family, one row per state.
+var breakerTransitions = metrics.Counter{Name: "ringserve_peer_breaker_transitions_total", Help: "Per-peer circuit breaker transitions."}
+
+// statRows declares the node's counters in exposition order.
+var statRows = [numStats]metrics.Counter{
+	statFetches:       {Key: "peerFetches", Name: "ringserve_peer_fetches_total", Help: "Cache misses served by the key's owning peer."},
+	statFetchFailures: {Key: "peerFetchFailures", Name: "ringserve_peer_fetch_failures_total", Help: "Peer call attempts that errored."},
+	statRetries:       {Key: "peerRetries", Name: "ringserve_peer_retries_total", Help: "Extra attempts spent in the peer retry envelope."},
+	statDegraded:      {Key: "degraded", Name: "ringserve_degraded_total", Help: "Requests computed locally because the owner was unreachable."},
+	statBreakerOpens:  breakerTransitions.Labeled("breakerOpens", "state", "open"),
+	statBreakerCloses: breakerTransitions.Labeled("breakerCloses", "state", "closed"),
+	statProbes:        {Key: "probes", Name: "ringserve_peer_probes_total", Help: "Membership-loop readiness probes issued."},
+	statProbeFailures: {Key: "probeFailures", Name: "ringserve_peer_probe_failures_total", Help: "Readiness probes that did not come back ready."},
+}
+
 // Node is one member of a ringserve cluster: a serve.Server plus the
 // peer-fetch plane. It implements serve.Remote and installs itself into
 // the server's Remote/ExtraProm/ExtraStatus hooks.
@@ -83,7 +115,7 @@ type Node struct {
 	client *http.Client
 	peers  map[string]*peer
 	order  []string // sorted peer addresses, for stable exposition
-	stats  metrics.ClusterStats
+	stats  *metrics.Counters[stat]
 	hist   metrics.Histogram // peer fetch latency (successful fetches)
 
 	rngMu sync.Mutex
@@ -106,6 +138,7 @@ func New(cfg Config, scfg serve.Config) *Node {
 			MaxIdleConnsPerHost: 16,
 		}},
 		peers: make(map[string]*peer, len(cfg.Peers)),
+		stats: metrics.NewCounters[stat](statRows[:]),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for _, addr := range cfg.Peers {
@@ -117,8 +150,8 @@ func New(cfg Config, scfg serve.Config) *Node {
 			br: &breaker{
 				threshold: cfg.BreakerThreshold,
 				cooldown:  cfg.BreakerCooldown,
-				onOpen:    n.stats.BreakerOpen,
-				onClose:   n.stats.BreakerClose,
+				onOpen:    func() { n.stats.Inc(statBreakerOpens) },
+				onClose:   func() { n.stats.Inc(statBreakerCloses) },
 			},
 		}
 	}
@@ -139,8 +172,9 @@ func New(cfg Config, scfg serve.Config) *Node {
 // Server exposes the embedded daemon for serving and tests.
 func (n *Node) Server() *serve.Server { return n.server }
 
-// Stats snapshots the node's cluster counters.
-func (n *Node) Stats() metrics.ClusterSnapshot { return n.stats.Snapshot() }
+// Stats snapshots the node's cluster counters, keyed as in the
+// /v1/statusz cluster block.
+func (n *Node) Stats() map[string]int64 { return n.stats.Snapshot().Map() }
 
 // Start runs one synchronous health sweep (after which the node reports
 // ready), then probes peers every HealthInterval until ctx is done. The
@@ -181,25 +215,25 @@ func (n *Node) sweep(ctx context.Context) {
 // open breaker = re-admission); anything else — refused, timed out,
 // starting, draining — is a failure feeding the crash-stop detector.
 func (n *Node) probe(ctx context.Context, p *peer) {
-	n.stats.Probe()
+	n.stats.Inc(statProbes)
 	pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, "http://"+p.addr+"/v1/readyz", nil)
 	if err != nil {
-		n.stats.ProbeFailure()
+		n.stats.Inc(statProbeFailures)
 		p.br.failure(time.Now())
 		return
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		n.stats.ProbeFailure()
+		n.stats.Inc(statProbeFailures)
 		p.br.failure(time.Now())
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		n.stats.ProbeFailure()
+		n.stats.Inc(statProbeFailures)
 		p.br.failure(time.Now())
 		return
 	}
@@ -240,12 +274,12 @@ func (n *Node) Fetch(ctx context.Context, endpoint, key string, reqBody []byte) 
 		return nil, false
 	}
 	if !p.br.allow(time.Now()) {
-		n.stats.Degraded()
+		n.stats.Inc(statDegraded)
 		return nil, false
 	}
 	body, ok := n.fetchFrom(ctx, p, endpoint, reqBody)
 	if !ok {
-		n.stats.Degraded()
+		n.stats.Inc(statDegraded)
 	}
 	return body, ok
 }
@@ -258,7 +292,7 @@ func (n *Node) fetchFrom(ctx context.Context, p *peer, endpoint string, reqBody 
 	backoffs := 0
 	for attempt := 0; attempt < n.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			n.stats.Retry()
+			n.stats.Inc(statRetries)
 		}
 		if ctx.Err() != nil {
 			return nil, false
@@ -266,7 +300,7 @@ func (n *Node) fetchFrom(ctx context.Context, p *peer, endpoint string, reqBody 
 		body, retryAfter, err := n.attempt(ctx, p, endpoint, reqBody)
 		if err == nil {
 			p.br.success()
-			n.stats.Fetch()
+			n.stats.Inc(statFetches)
 			return body, true
 		}
 		if retryAfter > 0 {
@@ -278,7 +312,7 @@ func (n *Node) fetchFrom(ctx context.Context, p *peer, endpoint string, reqBody 
 			}
 			continue
 		}
-		n.stats.FetchFailure()
+		n.stats.Inc(statFetchFailures)
 		p.br.failure(time.Now())
 		if !p.br.allow(time.Now()) {
 			// The breaker opened mid-envelope: stop burning attempts on
@@ -381,11 +415,11 @@ func (n *Node) PeerStates() []PeerState {
 // status is the /v1/statusz "cluster" block.
 func (n *Node) status() any {
 	return struct {
-		Self    string                  `json:"self"`
-		Size    int                     `json:"size"` // live members including self
-		Peers   []PeerState             `json:"peers"`
-		Counter metrics.ClusterSnapshot `json:"counters"`
-	}{n.cfg.Self, len(n.members()), n.PeerStates(), n.stats.Snapshot()}
+		Self    string           `json:"self"`
+		Size    int              `json:"size"` // live members including self
+		Peers   []PeerState      `json:"peers"`
+		Counter map[string]int64 `json:"counters"`
+	}{n.cfg.Self, len(n.members()), n.PeerStates(), n.Stats()}
 }
 
 // writeProm appends the cluster families to the /metrics exposition:
@@ -393,20 +427,7 @@ func (n *Node) status() any {
 // breaker gauges, and the peer-fetch latency histogram — in fixed
 // order, keeping the exposition byte-stable for a given state.
 func (n *Node) writeProm(p *metrics.PromWriter) {
-	snap := n.stats.Snapshot()
-	one := func(v int64) []metrics.PromSample {
-		return []metrics.PromSample{{Value: float64(v)}}
-	}
-	p.Counter("ringserve_peer_fetches_total", "Cache misses served by the key's owning peer.", one(snap.Fetches)...)
-	p.Counter("ringserve_peer_fetch_failures_total", "Peer call attempts that errored.", one(snap.FetchFailures)...)
-	p.Counter("ringserve_peer_retries_total", "Extra attempts spent in the peer retry envelope.", one(snap.Retries)...)
-	p.Counter("ringserve_degraded_total", "Requests computed locally because the owner was unreachable.", one(snap.Degraded)...)
-	p.Counter("ringserve_peer_breaker_transitions_total", "Per-peer circuit breaker transitions.",
-		metrics.PromSample{Labels: []metrics.PromLabel{{Name: "state", Value: "open"}}, Value: float64(snap.BreakerOpens)},
-		metrics.PromSample{Labels: []metrics.PromLabel{{Name: "state", Value: "closed"}}, Value: float64(snap.BreakerCloses)},
-	)
-	p.Counter("ringserve_peer_probes_total", "Membership-loop readiness probes issued.", one(snap.Probes)...)
-	p.Counter("ringserve_peer_probe_failures_total", "Readiness probes that did not come back ready.", one(snap.ProbeFailures)...)
+	n.stats.Snapshot().WriteProm(p)
 
 	open := make([]metrics.PromSample, 0, len(n.order))
 	for _, addr := range n.order {
@@ -420,7 +441,7 @@ func (n *Node) writeProm(p *metrics.PromWriter) {
 		})
 	}
 	p.Gauge("ringserve_peer_breaker_open", "1 when the peer's breaker is open (peer treated as crash-stopped).", open...)
-	p.Gauge("ringserve_cluster_members", "Live members (self included) in the current ownership set.", one(int64(len(n.members())))...)
+	p.Gauge("ringserve_cluster_members", "Live members (self included) in the current ownership set.", metrics.PromSample{Value: float64(len(n.members()))})
 	p.Histogram("ringserve_peer_fetch_seconds", "Latency of successful peer fetches.",
 		metrics.PromHistogram{Snapshot: n.hist.Snapshot()})
 }

@@ -235,13 +235,13 @@ func TestPeerFetchTwoTier(t *testing.T) {
 	if v := resp.Header.Get("X-Ringserve-Cache"); v != "peer" {
 		t.Fatalf("non-owner verdict %q, want peer", v)
 	}
-	if c0, c1 := ns[0].n.Server().Stats().Computes, ns[1].n.Server().Stats().Computes; c0 != 0 || c1 != 1 {
+	if c0, c1 := ns[0].n.Server().Stats()["computes"], ns[1].n.Server().Stats()["computes"]; c0 != 0 || c1 != 1 {
 		t.Fatalf("computes (non-owner=%d, owner=%d), want (0, 1)", c0, c1)
 	}
-	if got := ns[1].n.Server().Stats().PeerServed; got != 1 {
+	if got := ns[1].n.Server().Stats()["peerServed"]; got != 1 {
 		t.Fatalf("owner served %d forwarded requests, want 1", got)
 	}
-	if got := ns[0].n.Stats().Fetches; got != 1 {
+	if got := ns[0].n.Stats()["peerFetches"]; got != 1 {
 		t.Fatalf("non-owner recorded %d peer fetches, want 1", got)
 	}
 
@@ -262,10 +262,10 @@ func TestPeerFetchTwoTier(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("forward-header request failed: %d %s", resp3.StatusCode, body3)
 	}
-	if got := ns[0].n.Stats().Fetches; got != 1 {
+	if got := ns[0].n.Stats()["peerFetches"]; got != 1 {
 		t.Fatalf("forwarded request triggered a re-forward (fetches %d, want still 1)", got)
 	}
-	if got := ns[0].n.Server().Stats().PeerServed; got == 0 {
+	if got := ns[0].n.Server().Stats()["peerServed"]; got == 0 {
 		t.Fatal("peer-forwarded request not accounted on the receiving node")
 	}
 }
@@ -288,14 +288,14 @@ func TestDegradeToLocal(t *testing.T) {
 		t.Fatalf("degraded verdict %q, want miss (local compute)", v)
 	}
 	cs := ns[0].n.Stats()
-	if cs.Degraded == 0 {
+	if cs["degraded"] == 0 {
 		t.Errorf("degraded counter = 0, want >= 1")
 	}
-	if cs.FetchFailures == 0 {
+	if cs["peerFetchFailures"] == 0 {
 		t.Errorf("fetch failures = 0, want >= 1 (the retry envelope ran)")
 	}
-	if ns[0].n.Server().Stats().Computes != 1 {
-		t.Errorf("survivor computes = %d, want 1", ns[0].n.Server().Stats().Computes)
+	if ns[0].n.Server().Stats()["computes"] != 1 {
+		t.Errorf("survivor computes = %d, want 1", ns[0].n.Server().Stats()["computes"])
 	}
 
 	// The response is cached: repeating the request is now a plain hit,

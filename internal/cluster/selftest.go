@@ -15,7 +15,6 @@ import (
 
 	"ringsched/internal/engine"
 	"ringsched/internal/instance"
-	"ringsched/internal/metrics"
 	"ringsched/internal/serve"
 	"ringsched/internal/workload"
 )
@@ -165,6 +164,16 @@ func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 	}
 	algs := []string{"A1", "B1", "C1", "A2", "B2", "C2"}
 
+	// Phase 0 needs one ownership view: the node started first can open
+	// a breaker on a peer that was still starting, and until a probe
+	// closes it that node also owns the peer's keys.
+	for i := range nodes {
+		others := []int{(i + 1) % numNodes, (i + 2) % numNodes}
+		if err := waitBreakers(nodes, others, addrs[i], false, 10*time.Second); err != nil {
+			return err
+		}
+	}
+
 	// Phase 0 — cluster-wide coalescing: K concurrent requests for
 	// dihedral copies of one instance, sprayed across all three nodes,
 	// must produce exactly one engine run cluster-wide and
@@ -228,8 +237,7 @@ func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 	// The victim's first life ends at the crash; its counters are folded
 	// into the totals from this snapshot (the process is gone, but its
 	// computed keys live on in the survivors' caches).
-	var firstLifeServe metrics.ServeSnapshot
-	var firstLifeCluster metrics.ClusterSnapshot
+	var firstLifeServe, firstLifeCluster map[string]int64
 	for i := 0; i < opts.Requests; i++ {
 		work <- i
 		switch i {
@@ -287,21 +295,21 @@ func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 	// stays bounded by the number of node lifetimes (each lifetime
 	// computes a cached key at most once).
 	unique := len(seen)
-	computes := firstLifeServe.Computes
-	coalesced := firstLifeServe.Coalesced
-	degraded := firstLifeCluster.Degraded
-	opens := firstLifeCluster.BreakerOpens
-	closes := firstLifeCluster.BreakerCloses
+	computes := firstLifeServe["computes"]
+	coalesced := firstLifeServe["coalesced"]
+	degraded := firstLifeCluster["degraded"]
+	opens := firstLifeCluster["breakerOpens"]
+	closes := firstLifeCluster["breakerCloses"]
 	for _, sn := range nodes {
 		ss := sn.node.Server().Stats()
 		cs := sn.node.Stats()
-		computes += ss.Computes
-		coalesced += ss.Coalesced
-		degraded += cs.Degraded
-		opens += cs.BreakerOpens
-		closes += cs.BreakerCloses
+		computes += ss["computes"]
+		coalesced += ss["coalesced"]
+		degraded += cs["degraded"]
+		opens += cs["breakerOpens"]
+		closes += cs["breakerCloses"]
 	}
-	rewarm := nodes[victim].node.Server().Stats().Computes
+	rewarm := nodes[victim].node.Server().Stats()["computes"]
 
 	fmt.Fprintf(out, "ringserve cluster selftest: %d nodes, %d requests, %d clients, crash node %d at request %d, restart at %d (seed %d)\n",
 		numNodes, opts.Requests, opts.Clients, victim, crashAt, restartAt, opts.Seed)
@@ -381,7 +389,7 @@ func coalesceBurst(nodes []*stNode, bases []string, in instance.Instance, rng *r
 	const k = 12
 	var before int64
 	for _, sn := range nodes {
-		before += sn.node.Server().Stats().Computes
+		before += sn.node.Server().Stats()["computes"]
 	}
 	type reply struct {
 		body []byte
@@ -416,7 +424,7 @@ func coalesceBurst(nodes []*stNode, bases []string, in instance.Instance, rng *r
 	}
 	var after int64
 	for _, sn := range nodes {
-		after += sn.node.Server().Stats().Computes
+		after += sn.node.Server().Stats()["computes"]
 	}
 	if got := after - before; got != 1 {
 		return fmt.Errorf("cluster: coalescing burst: %d engine runs for %d concurrent copies, want exactly 1", got, k)

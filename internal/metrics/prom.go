@@ -69,14 +69,6 @@ func (p *PromWriter) sample(name string, labels []PromLabel, value float64) {
 	p.printf("%s%s %s\n", name, renderLabels(labels), formatPromValue(value))
 }
 
-// Counter emits a counter family. Sample order is the caller's.
-func (p *PromWriter) Counter(name, help string, samples ...PromSample) {
-	p.header(name, help, "counter")
-	for _, s := range samples {
-		p.sample(name, s.Labels, s.Value)
-	}
-}
-
 // Gauge emits a gauge family.
 func (p *PromWriter) Gauge(name, help string, samples ...PromSample) {
 	p.header(name, help, "gauge")

@@ -13,7 +13,11 @@ import (
 func TestPromWriterGolden(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("demo_total", "A counter.", PromSample{Value: 3})
+	demo := NewCounters[int]([]Counter{{Key: "demo", Name: "demo_total", Help: "A counter."}})
+	for i := 0; i < 3; i++ {
+		demo.Inc(0)
+	}
+	demo.Snapshot().WriteProm(p)
 	p.Gauge("demo_gauge", "A gauge with\nnewline help.",
 		PromSample{Labels: []PromLabel{{Name: "ep", Value: `a"b\c`}}, Value: 1.5},
 		PromSample{Labels: []PromLabel{{Name: "ep", Value: "plain"}}, Value: 2},

@@ -1,62 +1,29 @@
 package metrics
 
-import "sync/atomic"
-
-// SolverStats counts the exact-optimum solver's feasibility-probe
-// activity: how many max-flow probes ran, how many were answered from the
-// monotone memo without touching a network, how many reused a warm
+// SolverStat indexes the exact-optimum solver's feasibility-probe
+// counters: how many max-flow probes ran, how many were answered from
+// the monotone memo without touching a network, how many reused a warm
 // (Reset + rescaled) network, and how many built a network from scratch.
-// The counters are process-wide and atomic, so the parallel suite runner
-// in internal/experiment can solve many cases concurrently while one
-// stats block stays consistent; cmd/ringexp republishes a snapshot via
-// expvar.
-type SolverStats struct {
-	probes     atomic.Int64
-	memoHits   atomic.Int64
-	warmReuses atomic.Int64
-	coldBuilds atomic.Int64
+type SolverStat int
+
+const (
+	SolverProbe SolverStat = iota
+	SolverMemoHit
+	SolverWarmReuse
+	SolverColdBuild
+)
+
+// solverRows declares the solver counters, indexed by SolverStat.
+var solverRows = [...]Counter{
+	SolverProbe:     {Key: "probes", Name: "ringsched_solver_probes_total", Help: "Feasibility max-flow probes since this server started."},
+	SolverMemoHit:   {Key: "memoHits", Name: "ringsched_solver_memo_hits_total", Help: "Probes answered by the monotone feasibility memo."},
+	SolverWarmReuse: {Key: "warmReuses", Name: "ringsched_solver_warm_reuses_total", Help: "Probes served by resetting a warm flow network."},
+	SolverColdBuild: {Key: "coldBuilds", Name: "ringsched_solver_cold_builds_total", Help: "Feasibility networks built from scratch."},
 }
 
-// Solver is the process-wide stats block fed by internal/opt.
-var Solver SolverStats
-
-// Probe records one feasibility max-flow computation.
-func (s *SolverStats) Probe() { s.probes.Add(1) }
-
-// MemoHit records a probe answered by the monotone feasibility memo.
-func (s *SolverStats) MemoHit() { s.memoHits.Add(1) }
-
-// WarmReuse records a probe served by resetting and rescaling an already
-// built network.
-func (s *SolverStats) WarmReuse() { s.warmReuses.Add(1) }
-
-// ColdBuild records a feasibility network built from scratch.
-func (s *SolverStats) ColdBuild() { s.coldBuilds.Add(1) }
-
-// SolverSnapshot is a point-in-time copy of the solver counters.
-type SolverSnapshot struct {
-	Probes     int64 `json:"probes"`
-	MemoHits   int64 `json:"memoHits"`
-	WarmReuses int64 `json:"warmReuses"`
-	ColdBuilds int64 `json:"coldBuilds"`
-}
-
-// Snapshot returns the current counter values.
-func (s *SolverStats) Snapshot() SolverSnapshot {
-	return SolverSnapshot{
-		Probes:     s.probes.Load(),
-		MemoHits:   s.memoHits.Load(),
-		WarmReuses: s.warmReuses.Load(),
-		ColdBuilds: s.coldBuilds.Load(),
-	}
-}
-
-// Sub returns the counter deltas accumulated since an earlier snapshot.
-func (a SolverSnapshot) Sub(b SolverSnapshot) SolverSnapshot {
-	return SolverSnapshot{
-		Probes:     a.Probes - b.Probes,
-		MemoHits:   a.MemoHits - b.MemoHits,
-		WarmReuses: a.WarmReuses - b.WarmReuses,
-		ColdBuilds: a.ColdBuilds - b.ColdBuilds,
-	}
-}
+// Solver is the process-wide solver counter block fed by internal/opt.
+// It is atomic, so the parallel suite runner in internal/experiment can
+// solve many cases concurrently while one block stays consistent;
+// cmd/ringexp republishes deltas via expvar and ringserve renders them
+// on /metrics.
+var Solver = NewCounters[SolverStat](solverRows[:])

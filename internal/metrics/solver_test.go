@@ -6,7 +6,7 @@ import (
 )
 
 func TestSolverStatsCountsConcurrently(t *testing.T) {
-	var s SolverStats
+	s := NewCounters[SolverStat](solverRows[:])
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -14,33 +14,41 @@ func TestSolverStatsCountsConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				s.Probe()
-				s.MemoHit()
-				s.WarmReuse()
-				s.ColdBuild()
+				s.Inc(SolverProbe)
+				s.Inc(SolverMemoHit)
+				s.Inc(SolverWarmReuse)
+				s.Inc(SolverColdBuild)
 			}
 		}()
 	}
 	wg.Wait()
 	got := s.Snapshot()
 	want := int64(workers * perWorker)
-	if got.Probes != want || got.MemoHits != want || got.WarmReuses != want || got.ColdBuilds != want {
-		t.Errorf("snapshot = %+v, want all %d", got, want)
+	for k := range solverRows {
+		if v := got.Get(SolverStat(k)); v != want {
+			t.Errorf("%s = %d, want %d", solverRows[k].Key, v, want)
+		}
 	}
 }
 
 func TestSolverSnapshotSub(t *testing.T) {
-	var s SolverStats
-	s.Probe()
-	s.ColdBuild()
+	s := NewCounters[SolverStat](solverRows[:])
+	s.Inc(SolverProbe)
+	s.Inc(SolverColdBuild)
 	before := s.Snapshot()
-	s.Probe()
-	s.Probe()
-	s.MemoHit()
-	s.WarmReuse()
+	s.Inc(SolverProbe)
+	s.Inc(SolverProbe)
+	s.Inc(SolverMemoHit)
+	s.Inc(SolverWarmReuse)
 	d := s.Snapshot().Sub(before)
-	want := SolverSnapshot{Probes: 2, MemoHits: 1, WarmReuses: 1, ColdBuilds: 0}
-	if d != want {
-		t.Errorf("delta = %+v, want %+v", d, want)
+	want := map[string]int64{"probes": 2, "memoHits": 1, "warmReuses": 1, "coldBuilds": 0}
+	got := d.Map()
+	if len(got) != len(want) {
+		t.Fatalf("delta = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("delta = %v, want %v", got, want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package online
 
-import "errors"
+import (
+	"context"
+	"errors"
+)
 
 // Params tune the online diffusion algorithm.
 type Params struct {
@@ -70,6 +73,12 @@ type bucket struct {
 // callers use NewEngine/Append/StepUntil directly and get bit-identical
 // results at every pause point.
 func Run(in Instance, p Params) (Result, error) {
+	return RunContext(context.TODO(), in, p)
+}
+
+// RunContext is Run under ctx: stepping stops when ctx ends, and the
+// context error comes back wrapped.
+func RunContext(ctx context.Context, in Instance, p Params) (Result, error) {
 	e, err := NewEngine(in.M, p)
 	if err != nil {
 		return Result{}, err
@@ -77,7 +86,7 @@ func Run(in Instance, p Params) (Result, error) {
 	if err := e.Append(in.Batches...); err != nil {
 		return Result{}, err
 	}
-	err = e.StepQuiescent(nil)
+	err = e.StepQuiescent(ctx)
 	return e.Snapshot().Result, err
 }
 

@@ -191,8 +191,8 @@ func MetricFeasible(works []int64, dist func(i, j int) int, maxDist int, L int64
 	if estMetricArcs(m, len(sources), dcap) > maxArcs {
 		return false, false
 	}
-	metrics.Solver.ColdBuild()
-	metrics.Solver.Probe()
+	metrics.Solver.Inc(metrics.SolverColdBuild)
+	metrics.Solver.Inc(metrics.SolverProbe)
 
 	// Node layout: 0 = S, 1 = T, chain nodes 2 + j*(dcap+1) + d, then one
 	// node per source appended.
@@ -300,7 +300,7 @@ func Capacitated(in instance.Instance, lim Limits) Result {
 
 	probe := func(L int64) (feasible, fits bool) {
 		if f, known := memo.lookup(L); known {
-			metrics.Solver.MemoHit()
+			metrics.Solver.Inc(metrics.SolverMemoHit)
 			return f, true
 		}
 		if warm != nil && L > int64(warm.steps) {
@@ -309,7 +309,7 @@ func Capacitated(in instance.Instance, lim Limits) Result {
 		var ok bool
 		if warm != nil {
 			ok = warm.feasible(L)
-			metrics.Solver.Probe()
+			metrics.Solver.Inc(metrics.SolverProbe)
 		} else {
 			var fit bool
 			ok, fit = feasibleCap(works, m, L, maxArcs)

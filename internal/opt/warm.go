@@ -104,7 +104,7 @@ func newMetricNet(works []int64, dist func(i, j int) int, dcap int) *metricNet {
 			}
 		}
 	}
-	metrics.Solver.ColdBuild()
+	metrics.Solver.Inc(metrics.SolverColdBuild)
 	return w
 }
 
@@ -122,7 +122,7 @@ func (w *metricNet) feasible(L int64) bool {
 			w.g.SetCap(w.chainIDs[base+d], c)
 		}
 	}
-	metrics.Solver.WarmReuse()
+	metrics.Solver.Inc(metrics.SolverWarmReuse)
 	return w.g.Solve(0, 1) == w.n
 }
 
@@ -185,7 +185,7 @@ func metricSearch(works []int64, dist func(i, j int) int, maxDist int, bound int
 	}
 	probe := func(L int64) (feasible, fits bool) {
 		if f, known := memo.lookup(L); known {
-			metrics.Solver.MemoHit()
+			metrics.Solver.Inc(metrics.SolverMemoHit)
 			return f, true
 		}
 		if warm != nil && L-1 > int64(warm.dcap) && warm.dcap < maxDist {
@@ -194,7 +194,7 @@ func metricSearch(works []int64, dist func(i, j int) int, maxDist int, bound int
 		var ok bool
 		if warm != nil {
 			ok = warm.feasible(L)
-			metrics.Solver.Probe()
+			metrics.Solver.Inc(metrics.SolverProbe)
 		} else {
 			var fit bool
 			ok, fit = MetricFeasible(works, dist, maxDist, L, maxArcs)
@@ -323,7 +323,7 @@ func newCapNet(works []int64, m, steps int) *capNet {
 			}
 		}
 	}
-	metrics.Solver.ColdBuild()
+	metrics.Solver.Inc(metrics.SolverColdBuild)
 	return w
 }
 
@@ -339,6 +339,6 @@ func (w *capNet) feasible(L int64) bool {
 			w.g.SetCap(w.procIDs[i*w.steps+t], c)
 		}
 	}
-	metrics.Solver.WarmReuse()
+	metrics.Solver.Inc(metrics.SolverWarmReuse)
 	return w.g.Solve(0, 1) == w.n
 }

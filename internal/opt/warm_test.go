@@ -157,21 +157,21 @@ func TestSolverCountersAdvance(t *testing.T) {
 		t.Fatalf("not exact: %+v", r)
 	}
 	d := metrics.Solver.Snapshot().Sub(before)
-	if d.Probes < 1 || d.WarmReuses < 1 || d.ColdBuilds < 1 {
-		t.Errorf("counters did not advance: %+v", d)
+	if d.Get(metrics.SolverProbe) < 1 || d.Get(metrics.SolverWarmReuse) < 1 || d.Get(metrics.SolverColdBuild) < 1 {
+		t.Errorf("counters did not advance: %v", d.Map())
 	}
-	if int(d.Probes) != r.FlowCalls {
-		t.Errorf("probes %d != FlowCalls %d", d.Probes, r.FlowCalls)
+	if int(d.Get(metrics.SolverProbe)) != r.FlowCalls {
+		t.Errorf("probes %d != FlowCalls %d", d.Get(metrics.SolverProbe), r.FlowCalls)
 	}
 
 	before = metrics.Solver.Snapshot()
 	r = Uncapacitated(instance.NewUnit(works), Limits{NoWarmStart: true})
 	d = metrics.Solver.Snapshot().Sub(before)
-	if d.WarmReuses != 0 {
-		t.Errorf("cold run reused a warm network: %+v", d)
+	if d.Get(metrics.SolverWarmReuse) != 0 {
+		t.Errorf("cold run reused a warm network: %v", d.Map())
 	}
-	if d.ColdBuilds < int64(r.FlowCalls) {
-		t.Errorf("cold run built %d networks for %d probes", d.ColdBuilds, r.FlowCalls)
+	if d.Get(metrics.SolverColdBuild) < int64(r.FlowCalls) {
+		t.Errorf("cold run built %d networks for %d probes", d.Get(metrics.SolverColdBuild), r.FlowCalls)
 	}
 }
 

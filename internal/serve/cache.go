@@ -18,7 +18,7 @@ import (
 type cache struct {
 	shards   []cacheShard
 	perShard int
-	stats    *metrics.ServeStats
+	stats    *metrics.Counters[stat]
 }
 
 type cacheShard struct {
@@ -35,7 +35,7 @@ type cacheEntry struct {
 // newCache builds a cache of `entries` total capacity over `shards`
 // shards (both forced to sane minimums), reporting hit/miss/eviction
 // activity into the owning server's stats block.
-func newCache(entries, shards int, stats *metrics.ServeStats) *cache {
+func newCache(entries, shards int, stats *metrics.Counters[stat]) *cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -65,11 +65,11 @@ func (c *cache) get(key string) ([]byte, bool) {
 	defer s.mu.Unlock()
 	el, ok := s.m[key]
 	if !ok {
-		c.stats.CacheMiss()
+		c.stats.Inc(statCacheMisses)
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
-	c.stats.CacheHit()
+	c.stats.Inc(statCacheHits)
 	return el.Value.(*cacheEntry).body, true
 }
 
@@ -106,7 +106,7 @@ func (c *cache) put(key string, body []byte) {
 		}
 		s.ll.Remove(last)
 		delete(s.m, last.Value.(*cacheEntry).key)
-		c.stats.Eviction()
+		c.stats.Inc(statEvictions)
 	}
 	s.m[key] = s.ll.PushFront(&cacheEntry{key: key, body: body})
 }

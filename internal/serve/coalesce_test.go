@@ -63,10 +63,10 @@ func TestCoalescingSingleCompute(t *testing.T) {
 	if verdicts["miss"] != 1 {
 		t.Errorf("want exactly 1 miss verdict, got distribution %v", verdicts)
 	}
-	if got := s.Stats().Computes; got != 1 {
+	if got := s.Stats()["computes"]; got != 1 {
 		t.Errorf("engine ran %d times for %d concurrent dihedral copies, want exactly 1 (verdicts %v)", got, k, verdicts)
 	}
-	if got := s.Stats().Coalesced; got != int64(verdicts["coalesced"]) {
+	if got := s.Stats()["coalesced"]; got != int64(verdicts["coalesced"]) {
 		t.Errorf("coalesced counter %d != coalesced verdicts %d", got, verdicts["coalesced"])
 	}
 }
@@ -113,7 +113,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // (hits+misses == lookups), bounded occupancy, eviction flow, and that
 // a hit never returns another key's body.
 func TestCacheConcurrentShardedLRU(t *testing.T) {
-	var stats metrics.ServeStats
+	stats := metrics.NewCounters[stat](statRows[:])
 	const (
 		shards   = 4
 		capacity = 32 // 8 per shard
@@ -121,7 +121,7 @@ func TestCacheConcurrentShardedLRU(t *testing.T) {
 		workers  = 8
 		opsEach  = 2000
 	)
-	c := newCache(capacity, shards, &stats)
+	c := newCache(capacity, shards, stats)
 	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf("body-%03d", k)) }
 
 	var wg sync.WaitGroup
@@ -172,8 +172,9 @@ func TestCacheConcurrentShardedLRU(t *testing.T) {
 		t.Fatalf("%d hits returned another key's body", corrupt)
 	}
 	snap := stats.Snapshot()
-	if snap.CacheHits+snap.CacheMisses != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d", snap.CacheHits, snap.CacheMisses, lookups)
+	hits, misses, evictions := snap.Get(statCacheHits), snap.Get(statCacheMisses), snap.Get(statEvictions)
+	if hits+misses != lookups {
+		t.Errorf("hits %d + misses %d != lookups %d", hits, misses, lookups)
 	}
 	if got := c.len(); got > capacity {
 		t.Errorf("cache holds %d entries, capacity %d", got, capacity)
@@ -181,13 +182,13 @@ func TestCacheConcurrentShardedLRU(t *testing.T) {
 	// Each key's first put is a fresh insert (racing putters collapse to
 	// one), so at least distinct-capacity evictions happened; and nothing
 	// can be evicted that was never inserted after a miss.
-	if snap.Evictions < int64(len(distinct)-capacity) {
-		t.Errorf("evictions %d too low for %d distinct keys and capacity %d", snap.Evictions, len(distinct), capacity)
+	if evictions < int64(len(distinct)-capacity) {
+		t.Errorf("evictions %d too low for %d distinct keys and capacity %d", evictions, len(distinct), capacity)
 	}
-	if snap.Evictions >= snap.CacheMisses {
-		t.Errorf("evictions %d >= misses %d: evicting more than was inserted", snap.Evictions, snap.CacheMisses)
+	if evictions >= misses {
+		t.Errorf("evictions %d >= misses %d: evicting more than was inserted", evictions, misses)
 	}
-	if snap.CacheHits == 0 || snap.Evictions == 0 {
-		t.Errorf("test exercised nothing: hits %d evictions %d", snap.CacheHits, snap.Evictions)
+	if hits == 0 || evictions == 0 {
+		t.Errorf("test exercised nothing: hits %d evictions %d", hits, evictions)
 	}
 }

@@ -18,7 +18,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, fmt.Errorf("%w: use GET", errBadRequest))
 		return
 	}
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	resp := AlgorithmsResponse{Schema: Schema}
 	for _, a := range engine.Algorithms {
 		ai := AlgorithmInfo{Algorithm: a, Compare: a.Kind == "bucket"}

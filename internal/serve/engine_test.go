@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"ringsched/internal/engine"
 	"ringsched/internal/instance"
@@ -67,8 +68,8 @@ func TestScheduleEngineRouting(t *testing.T) {
 		t.Fatalf("engines disagree: pool %+v vs bigring %+v", poolResp, expResp)
 	}
 
-	if c := s.EngineComputes(); c["bigring"] != 2 || c["pool"] != 1 || s.Stats().Computes != 3 {
-		t.Fatalf("computes by engine %v (total %d), want bigring 2 (auto huge + explicit small), pool 1", c, s.Stats().Computes)
+	if c := s.EngineComputes(); c["bigring"] != 2 || c["pool"] != 1 || s.Stats()["computes"] != 3 {
+		t.Fatalf("computes by engine %v (total %d), want bigring 2 (auto huge + explicit small), pool 1", c, s.Stats()["computes"])
 	}
 	if lat := s.latencyOut()["schedule"]; lat.Engine["bigring"].Count != 2 || lat.Engine["pool"].Count != 1 {
 		t.Fatalf("engine histogram counts = pool %d / bigring %d, want 1 / 2",
@@ -262,5 +263,36 @@ func TestEngineRegistryDrift(t *testing.T) {
 		if len(a.Engines) == 0 {
 			t.Errorf("algorithm %s lists no engine", a.Name)
 		}
+	}
+}
+
+// TestOnlineScheduleStopsWithItsRequest pins that a one-shot online run
+// steps under its request's context: a request whose deadline ends
+// mid-run answers 504, frees its worker within a fixed bound (an
+// uncancelable run of this size holds it for most of a second), and is
+// not counted as a compute.
+func TestOnlineScheduleStopsWithItsRequest(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	works := make([]int64, 20_000)
+	works[0] = 5_000_000
+	w := post(t, s, "/v1/schedule", ScheduleRequest{
+		Instance:  unitInstance(t, works),
+		Algorithm: "online",
+		Options:   RequestOptions{TimeoutMs: 50},
+		Arrivals:  []ArrivalBatch{{T: 1, Proc: 1, Count: 1}},
+	})
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
+	}
+	const bound = 100 * time.Millisecond
+	deadline := time.Now().Add(bound)
+	for s.pool.busyWorkers() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker still busy %v after the 504: the online run ignored its request's context", bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := s.EngineComputes()["online"]; n != 0 {
+		t.Fatalf("online computes = %d after a canceled run, want 0", n)
 	}
 }

@@ -113,8 +113,7 @@ func (ri *reqInfo) observeQueue(start time.Time, wait time.Duration) {
 // engine and solver work) and the compute span.
 func (s *Server) computed(ri *reqInfo, e *engine.Engine, start time.Time, err error) {
 	if err == nil {
-		s.stats.Compute()
-		s.computes[e.Index()].Add(1)
+		s.stats.Inc(statComputes + stat(e.Index()))
 	}
 	if ri == nil {
 		return

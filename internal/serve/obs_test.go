@@ -31,7 +31,7 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 // expvarRingserve reads the process-wide "ringserve" expvar and decodes
 // it.
 func expvarRingserve(t *testing.T) struct {
-	Counters metrics.ServeSnapshot         `json:"counters"`
+	Counters map[string]int64              `json:"counters"`
 	Latency  map[string]endpointLatencyOut `json:"latency"`
 } {
 	t.Helper()
@@ -40,7 +40,7 @@ func expvarRingserve(t *testing.T) struct {
 		t.Fatal("expvar ringserve not published")
 	}
 	var out struct {
-		Counters metrics.ServeSnapshot         `json:"counters"`
+		Counters map[string]int64              `json:"counters"`
 		Latency  map[string]endpointLatencyOut `json:"latency"`
 	}
 	if err := json.Unmarshal([]byte(v.String()), &out); err != nil {
@@ -62,22 +62,22 @@ func TestExpvarTracksLiveServer(t *testing.T) {
 			t.Fatalf("warmup %d: %d %s", i, w.Code, w.Body.String())
 		}
 	}
-	if got := expvarRingserve(t); got.Counters.Requests != 3 {
-		t.Fatalf("expvar requests = %d, want 3 (server a's traffic)", got.Counters.Requests)
+	if got := expvarRingserve(t); got.Counters["requests"] != 3 {
+		t.Fatalf("expvar requests = %d, want 3 (server a's traffic)", got.Counters["requests"])
 	}
 
 	// A second server takes over the name with fresh counters — before
 	// the live-server indirection this still showed a's 3 requests.
 	b := newTestServer(t, Config{Workers: 1})
-	if got := expvarRingserve(t); got.Counters.Requests != 0 {
-		t.Fatalf("expvar requests = %d after new server, want 0 (stale server a state)", got.Counters.Requests)
+	if got := expvarRingserve(t); got.Counters["requests"] != 0 {
+		t.Fatalf("expvar requests = %d after new server, want 0 (stale server a state)", got.Counters["requests"])
 	}
 	if w := post(t, b, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1"}); w.Code != http.StatusOK {
 		t.Fatalf("server b request: %d %s", w.Code, w.Body.String())
 	}
 	got := expvarRingserve(t)
-	if got.Counters.Requests != 1 {
-		t.Fatalf("expvar requests = %d, want 1 (server b's traffic)", got.Counters.Requests)
+	if got.Counters["requests"] != 1 {
+		t.Fatalf("expvar requests = %d, want 1 (server b's traffic)", got.Counters["requests"])
 	}
 	if got.Latency["schedule"].Total.Count != 1 {
 		t.Fatalf("expvar latency digest = %+v, want schedule count 1", got.Latency["schedule"])

@@ -106,10 +106,10 @@ func (p *pool) drain() {
 
 // guard wraps a computation in per-request panic isolation: the
 // recovered panic comes back as an error instead of unwinding a worker.
-func guard(stats *metrics.ServeStats, f func() error) (err error) {
+func guard(stats *metrics.Counters[stat], f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			stats.Panicked()
+			stats.Inc(statPanics)
 			err = fmt.Errorf("serve: request panicked: %v\n%s", r, debug.Stack())
 		}
 	}()

@@ -114,7 +114,7 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 		HTTP:  &http.Client{Transport: transport},
 		Bases: []string{base},
 	}
-	before := s.Stats()
+	before := s.stats.Snapshot()
 
 	// Zipf over the case mix: rank-skewed popularity, exponent 1.7 — a
 	// hot head over a long tail, the workload shape a result cache is
@@ -225,7 +225,7 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 	hitRate := float64(hits) / float64(len(samples))
 	p50 := samples[len(samples)/2].latency
 	p99 := samples[(len(samples)*99)/100].latency
-	delta := s.Stats().Sub(before)
+	delta := s.stats.Snapshot().Sub(before)
 
 	fmt.Fprintf(out, "ringserve selftest: %d requests, %d clients, %d cases x %d algorithms\n",
 		len(samples), opts.Clients, len(mix), len(algs))
@@ -233,9 +233,9 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 		float64(len(samples))/elapsed.Seconds(), elapsed.Seconds())
 	fmt.Fprintf(out, "  latency     p50 %s  p99 %s\n", p50.Round(time.Microsecond), p99.Round(time.Microsecond))
 	fmt.Fprintf(out, "  cache       hit-rate %.1f%% (%d hits, %d misses, %d evictions)\n",
-		100*hitRate, delta.CacheHits, delta.CacheMisses, delta.Evictions)
+		100*hitRate, delta.Get(statCacheHits), delta.Get(statCacheMisses), delta.Get(statEvictions))
 	fmt.Fprintf(out, "  rejected    %d (client retried %d)  coalesced %d  canceled %d  panics %d\n",
-		delta.Rejected, retried, delta.Coalesced, delta.Canceled, delta.Panics)
+		delta.Get(statRejected), retried, delta.Get(statCoalesced), delta.Get(statCanceled), delta.Get(statPanics))
 	if hugeLine != "" {
 		fmt.Fprint(out, hugeLine)
 		if s.EngineComputes()[huge.Name] < 1 {

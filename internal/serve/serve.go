@@ -170,17 +170,14 @@ func (c Config) WithDefaults() Config {
 // latency histograms, optional access log). Create it with New; it is
 // safe for concurrent use.
 type Server struct {
-	cfg      Config
-	pool     *pool
-	cache    *cache
-	flight   *flightGroup
-	sessions *sessionRegistry
-	mux      *http.ServeMux
-	start    time.Time
-	stats    *metrics.ServeStats
-	// computes counts the successful computes per engine, indexed like
-	// engine.All.
-	computes  [len(engine.All)]atomic.Int64
+	cfg       Config
+	pool      *pool
+	cache     *cache
+	flight    *flightGroup
+	sessions  *sessionRegistry
+	mux       *http.ServeMux
+	start     time.Time
+	stats     *metrics.Counters[stat]
 	lat       map[string]*endpointLat
 	accessLog *metrics.SpanLog
 	// notReady and draining drive GET /v1/readyz: a node reports ready
@@ -192,7 +189,7 @@ type Server struct {
 	// solverBase is the process-wide solver counter state at New time,
 	// so /metrics can attribute solver activity since this server came
 	// up (and stay deterministic for a fresh server).
-	solverBase metrics.SolverSnapshot
+	solverBase metrics.CounterSnapshot[metrics.SolverStat]
 }
 
 // expvarOnce guards the process-wide expvar name (Publish panics on
@@ -212,7 +209,7 @@ var (
 // call s.drainPool via Serve's path or simply leak the pool until exit.
 func New(cfg Config) *Server {
 	cfg = cfg.WithDefaults()
-	stats := &metrics.ServeStats{}
+	stats := metrics.NewCounters[stat](statRows[:])
 	s := &Server{
 		cfg:        cfg,
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
@@ -253,18 +250,13 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Stats returns a snapshot of this server's own counters.
-func (s *Server) Stats() metrics.ServeSnapshot { return s.stats.Snapshot() }
+// Stats returns a snapshot of this server's own counters, keyed as in
+// the /v1/statusz "counters" object.
+func (s *Server) Stats() map[string]int64 { return s.stats.Snapshot().Map() }
 
 // EngineComputes returns the successful computes per engine, keyed by
 // registry name.
-func (s *Server) EngineComputes() map[string]int64 {
-	out := make(map[string]int64, len(engine.All))
-	for i := range engine.All {
-		out[engine.All[i].Name] = s.computes[i].Load()
-	}
-	return out
-}
+func (s *Server) EngineComputes() map[string]int64 { return engineComputes(s.stats.Snapshot()) }
 
 // Handler returns the daemon's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -391,9 +383,9 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := errorCode(err)
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
-		s.stats.Rejected()
+		s.stats.Inc(statRejected)
 	} else if status >= 400 && status < 500 {
-		s.stats.BadRequest()
+		s.stats.Inc(statBadRequests)
 	}
 	ri.setError(code)
 	body := apiErrorBody{Code: code, Message: err.Error()}
@@ -441,11 +433,11 @@ type computeSpec struct {
 // pool. Followers replay the leader's bytes; a failed leader wakes them
 // to take their own lap rather than inheriting its error.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpec) {
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	ri := info(r)
 	forwarded := r.Header.Get(PeerForwardHeader) != ""
 	if forwarded {
-		s.stats.PeerServed()
+		s.stats.Inc(statPeerServed)
 	}
 	endLookup := ri.span("cache", "")
 	body, hit := s.cache.get(spec.key)
@@ -459,10 +451,10 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 	for {
 		call, leader := s.flight.join(spec.key)
 		if !leader {
-			s.stats.Coalesced()
+			s.stats.Inc(statCoalesced)
 			select {
 			case <-ctx.Done():
-				s.stats.Canceled()
+				s.stats.Inc(statCanceled)
 				s.writeError(w, r, ctx.Err())
 				return
 			case <-call.done:
@@ -491,7 +483,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 		s.flight.leave(spec.key, call, body)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, sim.ErrCanceled) {
-				s.stats.Canceled()
+				s.stats.Inc(statCanceled)
 			}
 			s.writeError(w, r, err)
 			return
@@ -674,7 +666,7 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 		if err != nil {
 			return nil, err
 		}
-		res, err := online.Run(oin, online.Params{
+		res, err := online.RunContext(ctx, oin, online.Params{
 			Bidirectional:   req.Options.Bidirectional,
 			MigrationBudget: req.Options.MigrationBudget,
 		})
@@ -915,10 +907,11 @@ type statuszResponse struct {
 	HitRate      float64 `json:"hitRate"`
 	Ready        bool    `json:"ready"`
 	// Sessions counts live streaming sessions against their cap.
-	Sessions    int                   `json:"sessions"`
-	SessionsCap int                   `json:"sessionsCap"`
-	Counters    metrics.ServeSnapshot `json:"counters"`
-	// EngineComputes counts successful computes per engine.
+	Sessions    int `json:"sessions"`
+	SessionsCap int `json:"sessionsCap"`
+	// Counters holds the statRows counters by key; computes is the sum
+	// of EngineComputes, read from the same snapshot.
+	Counters       map[string]int64              `json:"counters"`
 	EngineComputes map[string]int64              `json:"engineComputes"`
 	Latency        map[string]endpointLatencyOut `json:"latency"`
 	// Cluster is the cluster layer's status block (shard ownership,
@@ -957,6 +950,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // too.
 func (s *Server) status() statuszResponse {
 	snap := s.stats.Snapshot()
+	hits, misses := snap.Get(statCacheHits), snap.Get(statCacheMisses)
+	var hitRate float64
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
+	}
 	resp := statuszResponse{
 		Schema:         Schema,
 		UptimeSec:      time.Since(s.start).Seconds(),
@@ -966,12 +964,12 @@ func (s *Server) status() statuszResponse {
 		QueueDepth:     s.cfg.QueueDepth,
 		CacheEntries:   s.cache.len(),
 		CacheCap:       s.cfg.CacheEntries,
-		HitRate:        snap.HitRate(),
+		HitRate:        hitRate,
 		Ready:          s.Ready(),
 		Sessions:       s.sessions.len(),
 		SessionsCap:    s.cfg.MaxSessions,
-		Counters:       snap,
-		EngineComputes: s.EngineComputes(),
+		Counters:       snap.Map(),
+		EngineComputes: engineComputes(snap),
 		Latency:        s.latencyOut(),
 	}
 	if s.cfg.ExtraStatus != nil {

@@ -343,8 +343,8 @@ func TestHealthzAndStatusz(t *testing.T) {
 	if st.CacheEntries < 1 {
 		t.Fatalf("statusz cacheEntries = %d after a cached request", st.CacheEntries)
 	}
-	if st.Counters.Requests < 2 {
-		t.Fatalf("statusz requests = %d", st.Counters.Requests)
+	if st.Counters["requests"] < 2 {
+		t.Fatalf("statusz requests = %d", st.Counters["requests"])
 	}
 }
 

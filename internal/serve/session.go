@@ -98,11 +98,11 @@ type sessionRegistry struct {
 	byID    map[string]*session
 	max     int
 	ttl     time.Duration
-	stats   *metrics.ServeStats
+	stats   *metrics.Counters[stat]
 	drained bool
 }
 
-func newSessionRegistry(max int, ttl time.Duration, stats *metrics.ServeStats) *sessionRegistry {
+func newSessionRegistry(max int, ttl time.Duration, stats *metrics.Counters[stat]) *sessionRegistry {
 	return &sessionRegistry{byID: make(map[string]*session), max: max, ttl: ttl, stats: stats}
 }
 
@@ -111,7 +111,7 @@ func (r *sessionRegistry) sweepLocked(now time.Time) {
 	for id, sess := range r.byID {
 		if sess.expired(now) {
 			delete(r.byID, id)
-			r.stats.SessionEvicted()
+			r.stats.Inc(statSessionsEvicted)
 		}
 	}
 }
@@ -129,7 +129,7 @@ func (r *sessionRegistry) create(sess *session, now time.Time) error {
 		return fmt.Errorf("%w: %d live sessions (cap %d)", errSessionLimit, len(r.byID), r.max)
 	}
 	r.byID[sess.id] = sess
-	r.stats.SessionCreated()
+	r.stats.Inc(statSessionsCreated)
 	return nil
 }
 
@@ -144,7 +144,7 @@ func (r *sessionRegistry) get(id string, now time.Time) (*session, bool) {
 	}
 	if sess.expired(now) {
 		delete(r.byID, id)
-		r.stats.SessionEvicted()
+		r.stats.Inc(statSessionsEvicted)
 		return nil, false
 	}
 	return sess, true
@@ -260,7 +260,7 @@ func (s *Server) sessionCompute(ctx context.Context, ri *reqInfo, f func(ctx con
 
 // handleSessionCreate is POST /v1/session.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	var req SessionCreateRequest
 	if err := s.decode(w, r, &req); err != nil {
 		s.writeError(w, r, err)
@@ -349,7 +349,7 @@ func (s *Server) lockSession(id string) (*session, error) {
 // batches, step the engine (to quiescence or a requested pause point)
 // on the worker pool, and return the incrementally extended schedule.
 func (s *Server) handleSessionArrivals(w http.ResponseWriter, r *http.Request) {
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	var req SessionArrivalsRequest
 	if err := s.decode(w, r, &req); err != nil {
 		s.writeError(w, r, err)
@@ -406,7 +406,7 @@ func (s *Server) handleSessionArrivals(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		sess.appends.Add(1)
-		s.stats.SessionAppend()
+		s.stats.Inc(statSessionAppends)
 		var serr error
 		if req.StepTo > 0 {
 			serr = sess.eng.StepUntil(ctx, req.StepTo)
@@ -438,7 +438,7 @@ func (s *Server) handleSessionArrivals(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionGet is GET /v1/session/{id}: the snapshot digest.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	sess, err := s.lockSession(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, r, err)
@@ -454,7 +454,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // session, quiesce its engine on the pool, and return the terminal
 // snapshot.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.stats.Request()
+	s.stats.Inc(statRequests)
 	id := r.PathValue("id")
 	sess, ok := s.sessions.get(id, time.Now())
 	if !ok {
@@ -487,7 +487,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // counter, which the one-shot respond path maintains itself.
 func (s *Server) sessionError(w http.ResponseWriter, r *http.Request, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.stats.Canceled()
+		s.stats.Inc(statCanceled)
 	}
 	s.writeError(w, r, err)
 }

@@ -124,8 +124,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if w := do(t, s, http.MethodGet, "/v1/session/"+created.ID); w.Code != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d", w.Code)
 	}
-	if got := s.Stats(); got.SessionsCreated != 1 || got.SessionAppends != int64(len(waves)) || s.EngineComputes()["online"] < int64(len(waves)) {
-		t.Fatalf("session counters %+v", got)
+	if got := s.Stats(); got["sessionsCreated"] != 1 || got["sessionAppends"] != int64(len(waves)) || s.EngineComputes()["online"] < int64(len(waves)) {
+		t.Fatalf("session counters %v", got)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	if w := do(t, s, http.MethodGet, "/v1/session/"+created.ID); w.Code != http.StatusNotFound {
 		t.Fatalf("expired session: status %d", w.Code)
 	}
-	if got := s.Stats().SessionsEvicted; got != 1 {
+	if got := s.Stats()["sessionsEvicted"]; got != 1 {
 		t.Fatalf("evictions %d, want 1", got)
 	}
 }

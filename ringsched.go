@@ -48,7 +48,6 @@ import (
 	"io"
 
 	"ringsched/internal/adversary"
-	"ringsched/internal/bigring"
 	"ringsched/internal/bucket"
 	"ringsched/internal/capring"
 	"ringsched/internal/dist"
@@ -175,34 +174,6 @@ type Trace = sim.Trace
 // returns the resulting schedule's metrics.
 func Schedule(in Instance, alg Algorithm, opts Options) (Result, error) {
 	return sim.Run(in, alg, opts)
-}
-
-// BigRingOptions configure ScheduleBigRing: a step limit, an optional
-// Collector, and Workers — the number of contiguous ring spans stepped
-// in parallel (1 = sequential; 0 = GOMAXPROCS on rings of at least
-// bigring.ParallelMinM processors, sequential below; a non-nil
-// Collector always forces sequential). Results are bit-identical at
-// every worker count.
-type BigRingOptions = bigring.Options
-
-// ErrBigRingUnsupported: the instance or options are outside the
-// big-ring engine's domain (sized jobs); use Schedule instead.
-var ErrBigRingUnsupported = bigring.ErrUnsupported
-
-// ScheduleBigRing runs one of the six bucket algorithms on the
-// allocation-free big-ring engine (internal/bigring): same results as
-// Schedule, bit for bit, on its domain — unit jobs, no faults, no link
-// capacity, speed and transit 1 — at a per-step cost proportional to
-// the number of travelling buckets rather than to the ring size, with
-// zero steady-state allocation. Built for m = 10^6 and beyond; it
-// refuses (wrapping ErrBigRingUnsupported) anything it cannot
-// reproduce exactly. With Workers > 1 (or 0 on a huge ring) the ring
-// is partitioned into contiguous spans stepped by persistent worker
-// goroutines — still bit-identical, still allocation-free per step,
-// with per-step cost O(m/Workers) per worker; ScheduleBigRing releases
-// the workers before returning.
-func ScheduleBigRing(in Instance, spec Spec, opts BigRingOptions) (Result, error) {
-	return bigring.Run(in, spec, opts)
 }
 
 // Collector receives the engine's observability stream — per-packet
