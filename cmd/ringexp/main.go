@@ -10,11 +10,11 @@
 //	        [-deadline 15s] [-suite-deadline 2m] [-workers 8] [-markdown]
 //	        [-quiet] [-metrics] [-trace-out suite.jsonl] [-spans-out spans.jsonl]
 //	        [-progress] [-faults seed:spec] [-debug-addr :6060]
-//	        [-engine pool|bigring] [-engine-workers 4]
+//	        [-engine pool|bigring]
 //
-// -workers parallelizes across suite cases; -engine-workers parallelizes
-// inside each bigring run. Their product is capped at GOMAXPROCS (suite
-// workers claim cores first), so combining them never oversubscribes.
+// -workers parallelizes across suite cases. A bigring run picks its own
+// stepping from the ring size: span-parallel at 2^16 processors and
+// above, one sequential sweep below, so Table 1 rings always sweep.
 //
 // With -faults every run executes under the given seeded fault schedule
 // (message loss, duplication, delay, processor stalls and crash-stops)
@@ -64,7 +64,6 @@ func run(args []string, out, errw io.Writer) error {
 	spansOut := fs.String("spans-out", "", "write one ringsched.span/v1 JSONL record per case (run + solver timings) to this file")
 	faults := fs.String("faults", "", `fault-injection "seed:spec" applied to every run, e.g. 7:loss=0.1,crashes=2 (see README)`)
 	engineName := fs.String("engine", "pool", "simulation engine: "+engine.Names()+" (an option or case outside the engine's domain is refused)")
-	engineWorkers := fs.Int("engine-workers", 0, "huge-ring engine only: ring spans stepped in parallel per run; -workers × -engine-workers is capped at GOMAXPROCS (suite concurrency wins the cores, engine spans take what's left), so the two flags never oversubscribe the box")
 	progress := fs.Bool("progress", false, "live suite status line (cases done / deadline hits / elapsed) on stderr")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address, e.g. localhost:6060")
 	if err := fs.Parse(args); err != nil {
@@ -116,7 +115,6 @@ func run(args []string, out, errw io.Writer) error {
 		SuiteDeadline: *suiteDeadline,
 		Faults:        *faults,
 		Engine:        *engineName,
-		EngineWorkers: *engineWorkers,
 	}
 	if *algs != "" {
 		o.Algorithms = strings.Split(*algs, ",")

@@ -145,8 +145,7 @@ func suiteAccepts(t *testing.T, in instance.Instance, alg, name string, sh engin
 // TestEngineRefusals pins the -engine bigring refusals by message: every
 // feature the huge-ring engine cannot reproduce exactly is refused up
 // front, as are -distributed (which runs the goroutine runtime in place
-// of the default engine), -engine-workers on other engines and unknown
-// engine names.
+// of the default engine) and unknown engine names.
 func TestEngineRefusals(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "t.jsonl")
 	for _, tc := range []struct {
@@ -158,7 +157,6 @@ func TestEngineRefusals(t *testing.T) {
 		{[]string{"-engine", "bigring", "-gantt"}, `engine "bigring" runs only`},
 		{[]string{"-engine", "bigring", "-trace-out", trace}, `engine "bigring" runs only`},
 		{[]string{"-engine", "bigring", "-distributed"}, "incompatible with -distributed"},
-		{[]string{"-engine", "pool", "-engine-workers", "2"}, "-engine-workers does not apply"},
 		{[]string{"-engine", "warp"}, `unknown engine "warp"`},
 	} {
 		args := append([]string{"-loads", "9,0,0,3"}, tc.args...)
@@ -168,7 +166,7 @@ func TestEngineRefusals(t *testing.T) {
 		}
 	}
 	// The refused features all run on the default engine.
-	out := runOK(t, "-loads", "9,0,0,3", "-alg", "C1", "-engine", "bigring", "-engine-workers", "2")
+	out := runOK(t, "-loads", "9,0,0,3", "-alg", "C1", "-engine", "bigring")
 	if !strings.Contains(out, "C1: makespan=") {
 		t.Errorf("bigring run output: %s", out)
 	}

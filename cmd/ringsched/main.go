@@ -42,7 +42,6 @@ func run(args []string, out, errw io.Writer) error {
 	caseID := fs.String("case", "", "Table 1 case id, e.g. I-m100-point-huge")
 	algName := fs.String("alg", "C1", "algorithm: A1,B1,C1,A2,B2,C2 or cap (§7, unit-capacity links)")
 	engineName := fs.String("engine", "pool", "compute engine: "+engine.Names()+" (a run outside the engine's domain is refused)")
-	engineWorkers := fs.Int("engine-workers", 0, "huge-ring engine only: ring spans stepped in parallel (0 = GOMAXPROCS on huge rings, sequential otherwise; results identical at any count)")
 	showOpt := fs.Bool("opt", false, "also compute the exact optimum / lower bound")
 	gantt := fs.Bool("gantt", false, "print a utilization heat map of the schedule")
 	distributed := fs.Bool("distributed", false, "run on the goroutine-per-processor runtime")
@@ -84,9 +83,6 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	if def, _ := engine.Resolve("", shape, 0); *distributed && eng != def {
 		return fmt.Errorf("-engine=%s is incompatible with -distributed", eng.Name)
-	}
-	if *engineWorkers != 0 && !eng.Huge {
-		return fmt.Errorf("-engine-workers does not apply to -engine=%s", eng.Name)
 	}
 
 	// Fault injection: bind the seeded plane to this ring, wrap the
@@ -142,7 +138,7 @@ func run(args []string, out, errw io.Writer) error {
 		return maybeOpt(out, in, *showOpt, *algName, res.Makespan)
 	}
 
-	res, err := eng.Run(in, alg, opts, *engineWorkers)
+	res, err := eng.Run(in, alg, opts)
 	if err != nil {
 		return err
 	}

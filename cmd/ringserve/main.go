@@ -77,7 +77,6 @@ func run(args []string, out, errw io.Writer) error {
 	drain := fs.Duration("drain", 0, "graceful shutdown budget (0 = 30s)")
 	maxM := fs.Int("max-m", 0, "admission cap on ring size (0 = 100000)")
 	bigringThreshold := fs.Int("bigring-threshold", 0, "route sequential A1..C2 unit-job requests with m at or above this to the big-ring engine (0 = 100000, negative = never auto-route)")
-	bigringWorkers := fs.Int("bigring-workers", 0, "big-ring engine span parallelism per request (0 = engine default, 1 = sequential)")
 	maxSessions := fs.Int("max-sessions", 0, "cap on live streaming sessions (0 = 1024)")
 	sessionTTL := fs.Duration("session-ttl", 0, "idle eviction deadline for streaming sessions (0 = 10m)")
 	accessLog := fs.String("access-log", "", "write one ringsched.span/v1 JSONL record per request to this file (\"-\" = stdout)")
@@ -109,7 +108,6 @@ func run(args []string, out, errw io.Writer) error {
 		DrainTimeout:     *drain,
 		MaxM:             *maxM,
 		BigRingThreshold: *bigringThreshold,
-		BigRingWorkers:   *bigringWorkers,
 		MaxSessions:      *maxSessions,
 		SessionTTL:       *sessionTTL,
 	}

@@ -107,28 +107,6 @@ func TestDifferentialCollector(t *testing.T) {
 	}
 }
 
-// TestFractionalMatchesReference holds the vectorized fractional engine
-// bit-identical to bucket.RunFractional, including the float64 makespan
-// and accepted vectors.
-func TestFractionalMatchesReference(t *testing.T) {
-	for _, spec := range allSpecs() {
-		for _, in := range testInstances(t) {
-			name := fmt.Sprintf("%s/m%d/n%d", spec.Name(), in.M, in.TotalWork())
-			want := bucket.RunFractional(in, spec)
-			got := RunFractional(in, spec)
-			if got.Makespan != want.Makespan {
-				t.Errorf("%s: makespan %v != %v", name, got.Makespan, want.Makespan)
-			}
-			if !reflect.DeepEqual(got.Accepted, want.Accepted) {
-				t.Errorf("%s: Accepted differs", name)
-			}
-			if !reflect.DeepEqual(got.EmptyAt, want.EmptyAt) {
-				t.Errorf("%s: EmptyAt differs", name)
-			}
-		}
-	}
-}
-
 // TestReset proves a reused engine reproduces its first run exactly.
 func TestReset(t *testing.T) {
 	in := workload.Uniform(128, 30, 3)

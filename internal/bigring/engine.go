@@ -1,11 +1,10 @@
 // Package bigring is the allocation-free big-ring engine: a
 // struct-of-arrays execution of the six bucket algorithms (A1/B1/C1,
-// A2/B2/C2) and of the fractional Basic Algorithm, built for rings of a
-// million processors and beyond. Steps run either as the classic
-// sequential alive-list sweep or — with Options.Workers > 1 — as a
-// span-partitioned fork/join over persistent worker goroutines
-// (parallel.go) that produces bit-identical results at every worker
-// count.
+// A2/B2/C2), built for rings of a million processors and beyond. Steps
+// run either as the classic sequential alive-list sweep or — with
+// Options.Workers > 1 — as a span-partitioned fork/join over persistent
+// worker goroutines (parallel.go) that produces bit-identical results at
+// every worker count.
 //
 // The generic engine in internal/sim models arbitrary algorithms: every
 // bucket is a heap-allocated packet whose meta struct is copied on each

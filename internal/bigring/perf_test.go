@@ -169,22 +169,3 @@ func BenchmarkBigRingStepParallel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFractional measures the vectorized Basic Algorithm against
-// its reference on a mid-size ring (the reference allocates per-arrival
-// records, so it is also an allocation comparison).
-func BenchmarkFractional(b *testing.B) {
-	in := workload.Uniform(10_000, 50, 3)
-	b.Run("bigring", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			RunFractional(in, bucket.C2())
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bucket.RunFractional(in, bucket.C2())
-		}
-	})
-}

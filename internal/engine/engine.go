@@ -80,11 +80,10 @@ type Engine struct {
 	// at or above the serving threshold, and only it steps spans in
 	// parallel.
 	Huge bool
-	// Run executes one static run; workers is the huge-ring engine's
-	// span parallelism (bigring.Options.Workers), which the others
-	// ignore. Run is nil for the online engine, whose result is an
-	// online.Result.
-	Run func(in instance.Instance, alg sim.Algorithm, opts sim.Options, workers int) (sim.Result, error)
+	// Run executes one static run with sim.Run's contract, including
+	// cancellation by opts.Ctx. Run is nil for the online engine, whose
+	// result is an online.Result.
+	Run func(in instance.Instance, alg sim.Algorithm, opts sim.Options) (sim.Result, error)
 
 	index int
 }
@@ -118,9 +117,7 @@ var All = [...]Engine{
 		Sized:       true,
 		Faults:      true,
 		Trace:       true,
-		Run: func(in instance.Instance, alg sim.Algorithm, opts sim.Options, _ int) (sim.Result, error) {
-			return sim.Run(in, alg, opts)
-		},
+		Run:         sim.Run,
 	},
 }
 
@@ -142,14 +139,29 @@ func Names() string { return names }
 // Index is the engine's position in All, for per-engine arrays.
 func (e *Engine) Index() int { return e.index }
 
-// runBigRing runs a bucket algorithm on the flat-array engine. The
-// engine takes no context: a run is bounded by MaxSteps.
-func runBigRing(in instance.Instance, alg sim.Algorithm, opts sim.Options, workers int) (sim.Result, error) {
+// runBigRing runs a bucket algorithm on the flat-array engine, whose own
+// rule picks sequential or span stepping from the ring size. Like sim it
+// checks opts.Ctx before every step.
+func runBigRing(in instance.Instance, alg sim.Algorithm, opts sim.Options) (sim.Result, error) {
 	spec, ok := alg.(bucket.Spec)
 	if !ok {
 		return sim.Result{}, fmt.Errorf("%w: %s is not a bucket algorithm", bigring.ErrUnsupported, alg.Name())
 	}
-	return bigring.Run(in, spec, bigring.Options{MaxSteps: opts.MaxSteps, Collector: opts.Collector, Workers: workers})
+	e, err := bigring.New(in, spec, bigring.Options{MaxSteps: opts.MaxSteps, Collector: opts.Collector})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	defer e.Close()
+	for {
+		if opts.Ctx != nil {
+			if err := opts.Ctx.Err(); err != nil {
+				return sim.Result{}, fmt.Errorf("bigring: %w at t=%d (alg=%s): %w", sim.ErrCanceled, e.Now(), spec.Name(), err)
+			}
+		}
+		if e.Step() {
+			return e.Result()
+		}
+	}
 }
 
 // find returns the first element of xs that match accepts, or nil.

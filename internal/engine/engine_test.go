@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -116,7 +117,7 @@ func TestStaticRunsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", a.Name, err)
 			}
-			res, err := e.Run(in, alg, opts, 2)
+			res, err := e.Run(in, alg, opts)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", a.Name, e.Name, err)
 			}
@@ -132,5 +133,32 @@ func TestStaticRunsAgree(t *testing.T) {
 	}
 	if _, _, err := Static("online"); err == nil {
 		t.Error("Static accepted the online algorithm")
+	}
+}
+
+// TestRunStopsWithItsContext runs every engine with a Run on a ring that
+// needs many steps under an already-canceled context: each must stop
+// with an error that wraps both sim.ErrCanceled and the context's own
+// error, as sim.Run does.
+func TestRunStopsWithItsContext(t *testing.T) {
+	works := make([]int64, 1000)
+	works[0] = 100_000
+	in := instance.NewUnit(works)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := range All {
+		e := &All[i]
+		if e.Run == nil {
+			continue
+		}
+		alg, opts, err := Static("A1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Ctx = ctx
+		_, err = e.Run(in, alg, opts)
+		if !errors.Is(err, sim.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want sim.ErrCanceled wrapping context.Canceled", e.Name, err)
+		}
 	}
 }

@@ -161,15 +161,6 @@ type Options struct {
 	// front; cases outside its domain (sized jobs on a unit-only
 	// engine) are recorded as per-run errors.
 	Engine string
-	// EngineWorkers is the huge-ring engine's per-run span parallelism
-	// (bigring.Options.Workers). Suite workers and engine workers
-	// multiply, so the effective per-run value is capped at
-	// max(1, GOMAXPROCS / suite workers): a saturated suite steps each
-	// run sequentially, and engine-level parallelism only kicks in when
-	// suite concurrency leaves cores idle. 0 applies the same cap to
-	// the engine's own GOMAXPROCS default. Results are identical at any
-	// setting.
-	EngineWorkers int
 	// Ctx, when non-nil, cancels the suite like RunSuiteContext's
 	// argument: in-flight solver searches fall back to their certified
 	// lower bounds at the next probe boundary, pending cases start with
@@ -218,31 +209,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// engineWorkers resolves the per-run bigring span parallelism under the
-// oversubscription cap: suite workers × engine workers must not exceed
-// GOMAXPROCS (a 16-core box running 16 cases × 16 spans would schedule
-// 256 runnable goroutines). With the suite sequential the engine keeps
-// its own default; otherwise the request (or GOMAXPROCS) is clamped to
-// the cores the suite leaves idle, floored at 1.
-func (o Options) engineWorkers() int {
-	maxProcs := runtime.GOMAXPROCS(0)
-	limit := maxProcs / o.workers()
-	if limit < 1 {
-		limit = 1
-	}
-	w := o.EngineWorkers
-	if w <= 0 {
-		if o.workers() <= 1 {
-			return 0 // uncontended: the engine's own default applies
-		}
-		w = maxProcs
-	}
-	if w > limit {
-		w = limit
-	}
-	return w
 }
 
 // RunSuite executes the given cases (use workload.Suite() for the paper's
@@ -461,7 +427,7 @@ func runCase(c workload.Case, algorithms []string, specs map[string]bucket.Spec,
 			continue
 		}
 		runStart := time.Now()
-		res, err := eng.Run(c.In, alg, simOpts, o.engineWorkers())
+		res, err := eng.Run(c.In, alg, simOpts)
 		tr.Add(name, "", runStart, time.Since(runStart))
 		if err != nil {
 			if errors.Is(err, sim.ErrNotQuiescent) {

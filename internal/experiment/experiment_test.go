@@ -354,7 +354,7 @@ func TestRunSuiteEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunSuite(cases, Options{Algorithms: []string{"C1", "A2"}, Engine: "bigring", EngineWorkers: 2})
+	big, err := RunSuite(cases, Options{Algorithms: []string{"C1", "A2"}, Engine: "bigring"})
 	if err != nil {
 		t.Fatal(err)
 	}

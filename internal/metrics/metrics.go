@@ -408,14 +408,14 @@ func (r *Ring) Summary() Summary {
 	defer r.mu.Unlock()
 	steps := r.effectiveSteps()
 	s := Summary{
-		Schema:    SchemaVersion,
-		Algorithm: r.run.Algorithm,
-		M:         r.run.M,
-		Steps:     steps,
-		TotalWork: r.run.TotalWork,
-		Processed: r.processed,
-		JobHops:   r.jobHops,
-		Messages:  r.messages,
+		Schema:        SchemaVersion,
+		Algorithm:     r.run.Algorithm,
+		M:             r.run.M,
+		Steps:         steps,
+		TotalWork:     r.run.TotalWork,
+		Processed:     r.processed,
+		JobHops:       r.jobHops,
+		Messages:      r.messages,
 		PeakInTransit: r.peakInTransit,
 		PeakImbalance: r.peakImbalance,
 		InitialGini:   r.giniInit,

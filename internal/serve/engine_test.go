@@ -267,32 +267,50 @@ func TestEngineRegistryDrift(t *testing.T) {
 }
 
 // TestOnlineScheduleStopsWithItsRequest pins that a one-shot online run
-// steps under its request's context: a request whose deadline ends
-// mid-run answers 504, frees its worker within a fixed bound (an
-// uncancelable run of this size holds it for most of a second), and is
-// not counted as a compute.
+// steps under its request's context (see requireStopsWithItsRequest).
 func TestOnlineScheduleStopsWithItsRequest(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
 	works := make([]int64, 20_000)
 	works[0] = 5_000_000
-	w := post(t, s, "/v1/schedule", ScheduleRequest{
+	requireStopsWithItsRequest(t, ScheduleRequest{
 		Instance:  unitInstance(t, works),
 		Algorithm: "online",
-		Options:   RequestOptions{TimeoutMs: 50},
 		Arrivals:  []ArrivalBatch{{T: 1, Proc: 1, Count: 1}},
-	})
+	}, "online", 100*time.Millisecond)
+}
+
+// TestBigRingScheduleStopsWithItsRequest pins the same for the big-ring
+// engine, which checks its request's context before every step.
+func TestBigRingScheduleStopsWithItsRequest(t *testing.T) {
+	works := make([]int64, 100_000)
+	works[0] = 9_000_000
+	requireStopsWithItsRequest(t, ScheduleRequest{
+		Instance:  unitInstance(t, works),
+		Algorithm: "A1",
+		Options:   RequestOptions{Engine: "bigring"},
+	}, "bigring", 200*time.Millisecond)
+}
+
+// requireStopsWithItsRequest posts req with a 50 ms deadline to a
+// one-worker server. The run outlives the deadline by far, so the
+// request must answer 504, free its worker within bound of the 504 (an
+// uncancelable run of this size holds it for about half a second or
+// more), and not be counted as a compute of engine eng.
+func requireStopsWithItsRequest(t *testing.T, req ScheduleRequest, eng string, bound time.Duration) {
+	t.Helper()
+	s := newTestServer(t, Config{Workers: 1})
+	req.Options.TimeoutMs = 50
+	w := post(t, s, "/v1/schedule", req)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body.String())
 	}
-	const bound = 100 * time.Millisecond
 	deadline := time.Now().Add(bound)
 	for s.pool.busyWorkers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker still busy %v after the 504: the online run ignored its request's context", bound)
+			t.Fatalf("worker still busy %v after the 504: the %s run ignored its request's context", bound, eng)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := s.EngineComputes()["online"]; n != 0 {
-		t.Fatalf("online computes = %d after a canceled run, want 0", n)
+	if n := s.EngineComputes()[eng]; n != 0 {
+		t.Fatalf("%s computes = %d after a canceled run, want 0", eng, n)
 	}
 }

@@ -107,24 +107,6 @@ func (ri *reqInfo) observeQueue(start time.Time, wait time.Duration) {
 	ri.tr.Add("queue", "", start, wait)
 }
 
-// computed accounts one run of engine e on a worker that started at
-// start and ended with err: the compute counters when it succeeded, and
-// always the execution-time split (the task's time on a worker, covering
-// engine and solver work) and the compute span.
-func (s *Server) computed(ri *reqInfo, e *engine.Engine, start time.Time, err error) {
-	if err == nil {
-		s.stats.Inc(statComputes + stat(e.Index()))
-	}
-	if ri == nil {
-		return
-	}
-	d := time.Since(start)
-	if ri.lat != nil {
-		ri.lat.byEngine[e.Index()].Observe(d)
-	}
-	ri.tr.Add("compute", "", start, d)
-}
-
 // loadString unwraps an atomic string pointer ("" when unset).
 func loadString(p *atomic.Pointer[string]) string {
 	if s := p.Load(); s != nil {

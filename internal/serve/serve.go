@@ -71,10 +71,6 @@ type Config struct {
 	// explicit engine request still works). Results are bit-identical on
 	// every engine that runs a request.
 	BigRingThreshold int
-	// BigRingWorkers is the big-ring engine's span parallelism per
-	// request (bigring.Options.Workers): 0 lets the engine default to
-	// GOMAXPROCS on huge rings, 1 forces sequential stepping.
-	BigRingWorkers int
 	// MaxSessions bounds concurrently live streaming sessions; 0 means
 	// 1024. Creation past the cap answers 429 session_limit.
 	MaxSessions int
@@ -519,31 +515,9 @@ func (s *Server) produce(ctx context.Context, ri *reqInfo, spec computeSpec, for
 			return nil, "", ctx.Err()
 		}
 	}
-	type outcome struct {
-		body any
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	ok := s.pool.trySubmit(func(enqueued time.Time, wait time.Duration) {
-		ri.observeQueue(enqueued, wait)
-		if ctx.Err() != nil {
-			// The client gave up while we sat in the queue; don't burn
-			// a worker on a response nobody reads.
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		execStart := time.Now()
-		var o outcome
-		o.err = guard(s.stats, func() error {
-			var err error
-			o.body, err = spec.compute(ctx)
-			return err
-		})
-		s.computed(ri, spec.engine, execStart, o.err)
-		ch <- o
-	})
-	if !ok {
-		return nil, "", errQueueFull
+	ch, err := s.submit(ctx, ri, spec.engine, spec.compute)
+	if err != nil {
+		return nil, "", err
 	}
 	select {
 	case <-ctx.Done():
@@ -561,6 +535,52 @@ func (s *Server) produce(ctx context.Context, ri *reqInfo, spec computeSpec, for
 		}
 		return append(b, '\n'), "miss", nil
 	}
+}
+
+// outcome is what one pool compute produced.
+type outcome struct {
+	body any
+	err  error
+}
+
+// submit queues f on the worker pool as one compute of engine e and
+// returns the channel its outcome arrives on; a full queue is
+// errQueueFull. Every endpoint's compute runs in this one envelope: the
+// queue-wait split, a context check before f starts (a client that gave
+// up while queued costs no worker time), the panic guard, the root
+// compute span, the engine's execution-time histogram, and the engine's
+// compute counter when f succeeds. The channel is buffered, so the
+// worker never blocks on a caller that stopped waiting.
+func (s *Server) submit(ctx context.Context, ri *reqInfo, e *engine.Engine, f func(ctx context.Context) (any, error)) (<-chan outcome, error) {
+	ch := make(chan outcome, 1)
+	ok := s.pool.trySubmit(func(enqueued time.Time, wait time.Duration) {
+		ri.observeQueue(enqueued, wait)
+		if ctx.Err() != nil {
+			ch <- outcome{err: ctx.Err()}
+			return
+		}
+		start := time.Now()
+		var o outcome
+		o.err = guard(s.stats, func() (err error) {
+			o.body, err = f(ctx)
+			return err
+		})
+		if o.err == nil {
+			s.stats.Inc(statComputes + stat(e.Index()))
+		}
+		if ri != nil {
+			d := time.Since(start)
+			if ri.lat != nil {
+				ri.lat.byEngine[e.Index()].Observe(d)
+			}
+			ri.tr.Add("compute", "", start, d)
+		}
+		ch <- o
+	})
+	if !ok {
+		return nil, errQueueFull
+	}
+	return ch, nil
 }
 
 // ---- endpoints ----
@@ -684,7 +704,7 @@ func (s *Server) computeSchedule(ctx context.Context, in instance.Instance, fp i
 		return nil, err
 	}
 	opts.MaxSteps, opts.Ctx = req.Options.MaxSteps, ctx
-	res, err := eng.Run(in, alg, opts, s.cfg.BigRingWorkers)
+	res, err := eng.Run(in, alg, opts)
 	if err != nil {
 		return nil, err
 	}

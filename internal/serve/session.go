@@ -223,39 +223,24 @@ func (s *Server) drainSessions() {
 	}
 }
 
-// sessionCompute runs f on the worker pool under the session latency/
-// span envelope: queue wait and execution time land in the "session"
-// endpoint histograms, execution is attributed to the online engine
-// (engine=online span, computes_total{engine="online"}), and a full
-// queue sheds the append with the same 429 the one-shot endpoints use.
+// sessionCompute runs f on the worker pool as one online-engine compute
+// (submit's envelope, under the engine=online span); a full queue sheds
+// the request with the same 429 the one-shot endpoints use.
 func (s *Server) sessionCompute(ctx context.Context, ri *reqInfo, f func(ctx context.Context) error) error {
-	ch := make(chan error, 1)
-	ok := s.pool.trySubmit(func(enqueued time.Time, wait time.Duration) {
-		ri.observeQueue(enqueued, wait)
-		if ctx.Err() != nil {
-			ch <- ctx.Err()
-			return
-		}
-		execStart := time.Now()
-		endCompute := ri.span("compute", "")
-		endEngine := ri.span("engine", "compute")
-		endLabel := ri.span("engine="+sessionEngine.Name, "engine")
-		err := guard(s.stats, func() error { return f(ctx) })
-		endLabel()
-		endEngine()
-		endCompute()
-		s.computed(ri, sessionEngine, execStart, err)
-		ch <- err
+	ch, err := s.submit(ctx, ri, sessionEngine, func(ctx context.Context) (any, error) {
+		defer ri.span("engine", "compute")()
+		defer ri.span("engine="+sessionEngine.Name, "engine")()
+		return nil, f(ctx)
 	})
-	if !ok {
-		return errQueueFull
+	if err != nil {
+		return err
 	}
 	// Unlike the one-shot respond path, the caller holds the session
 	// mutex and f mutates the session's engine — so we must wait for the
 	// worker rather than abandon it on cancellation (the engine honors
 	// ctx, so a canceled step returns promptly with the engine paused but
 	// consistent).
-	return <-ch
+	return (<-ch).err
 }
 
 // handleSessionCreate is POST /v1/session.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ringsched/internal/metrics"
 	"ringsched/internal/online"
 )
 
@@ -398,6 +399,43 @@ func TestSessionChurnUnderEviction(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSessionAccessLogSpans pins the span tree a session append and a
+// delete log, the same one a one-shot miss logs: exactly one root
+// compute span, engine under it and engine=online under engine.
+func TestSessionAccessLogSpans(t *testing.T) {
+	var log bytes.Buffer
+	s := newTestServer(t, Config{Workers: 1, AccessLog: &log})
+	created := createSession(t, s, SessionCreateRequest{M: 4})
+	appendWave(t, s, created.ID, SessionArrivalsRequest{Arrivals: []ArrivalBatch{{T: 0, Proc: 0, Count: 5}}})
+	if w := do(t, s, http.MethodDelete, "/v1/session/"+created.ID); w.Code != http.StatusOK {
+		t.Fatalf("delete: status %d, body %s", w.Code, w.Body.String())
+	}
+	var recs []metrics.SpanRecord
+	for dec := json.NewDecoder(&log); dec.More(); {
+		var rec metrics.SpanRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("access-log records = %d, want create, append and delete", len(recs))
+	}
+	for _, rec := range recs[1:] {
+		computes := 0
+		parent := map[string]string{}
+		for _, sp := range rec.Spans {
+			if sp.Name == "compute" {
+				computes++
+			}
+			parent[sp.Name] = sp.Parent
+		}
+		if computes != 1 || parent["compute"] != "" || parent["engine"] != "compute" || parent["engine=online"] != "engine" {
+			t.Errorf("session record spans = %+v, want one root compute > engine > engine=online", rec.Spans)
+		}
+	}
 }
 
 // TestSessionDrainFlush checks graceful drain steps surviving sessions

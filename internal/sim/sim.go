@@ -521,29 +521,6 @@ func (s *Stepper) Now() int64 { return s.t }
 // true; the error is the same one Run would return.
 func (s *Stepper) Result() (Result, error) { return s.res, s.err }
 
-// StepUntil advances the simulation through the start of step t: it
-// calls Step until t steps have been simulated or the run completes,
-// and reports Done. Together with Snapshot it gives the static engines
-// the same pause-and-inspect surface as online.Engine.
-func (s *Stepper) StepUntil(t int64) bool {
-	for !s.done && s.t < t {
-		s.Step()
-	}
-	return s.done
-}
-
-// Snapshot returns a copy of the cumulative Result so far — valid at
-// any pause point, with the per-processor slices cloned so the copy is
-// stable under further stepping. Unlike Result it carries no error;
-// check Err when Done reports true.
-func (s *Stepper) Snapshot() Result {
-	res := s.res
-	res.BusySteps = append([]int64(nil), s.res.BusySteps...)
-	res.MaxPool = append([]int64(nil), s.res.MaxPool...)
-	res.Processed = append([]int64(nil), s.res.Processed...)
-	return res
-}
-
 // fail records a terminal error and stops the run.
 func (s *Stepper) fail(err error) bool {
 	s.err = err
