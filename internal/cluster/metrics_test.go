@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ringsched/internal/metrics"
 	"ringsched/internal/serve"
@@ -56,6 +58,101 @@ func TestClusterMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("exposition drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestStatuszGolden pins the whole /v1/statusz document (run with
+// -update to regenerate testdata). A fresh server takes a fixed request
+// sequence: a schedule miss, its hit, an explicit bigring run, a 400 and
+// one /v1/optimal. Its document, plus the cluster block of a fresh,
+// never-started node built as in TestClusterMetricsGolden, is flattened
+// to sorted "path value" lines. uptimeSec and every *Ms value are
+// wall-clock readings and are masked; key order is not pinned.
+func TestStatuszGolden(t *testing.T) {
+	s := serve.New(serve.Config{Workers: 2})
+	t.Cleanup(s.Close)
+	const ring = `{"kind":"unit","m":4,"unit":[9,0,0,3]}`
+	for _, step := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/schedule", `{"instance":` + ring + `,"algorithm":"C1"}`, http.StatusOK},
+		{"/v1/schedule", `{"instance":` + ring + `,"algorithm":"C1"}`, http.StatusOK},
+		{"/v1/schedule", `{"instance":` + ring + `,"algorithm":"C1","options":{"engine":"bigring"}}`, http.StatusOK},
+		{"/v1/schedule", `{"instance":` + ring + `,"algorithm":"Z9"}`, http.StatusBadRequest},
+		{"/v1/optimal", `{"instance":` + ring + `}`, http.StatusOK},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, step.path, strings.NewReader(step.body)))
+		if w.Code != step.status {
+			t.Fatalf("%s %s: status %d, want %d (%s)", step.path, step.body, w.Code, step.status, w.Body.String())
+		}
+	}
+	statusz := func(h http.Handler) map[string]any {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/statusz", nil))
+		dec := json.NewDecoder(w.Body)
+		dec.UseNumber()
+		var doc map[string]any
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("decode statusz: %v", err)
+		}
+		return doc
+	}
+	// A worker counts as busy until just after its result is handed
+	// over, so wait for the pool to go idle.
+	doc := statusz(s.Handler())
+	for deadline := time.Now().Add(5 * time.Second); doc["workersBusy"] != json.Number("0"); doc = statusz(s.Handler()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workersBusy stuck at %v", doc["workersBusy"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	n := New(Config{
+		Self:  "10.0.0.1:8372",
+		Peers: []string{"10.0.0.1:8372", "10.0.0.3:8372", "10.0.0.2:8372"},
+	}, serve.Config{Workers: 2})
+	t.Cleanup(n.Server().Close)
+	doc["cluster"] = statusz(n.Server().Handler())["cluster"]
+
+	var lines []string
+	var flatten func(path string, v any)
+	flatten = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				flatten(path+"."+k, e)
+			}
+		case []any:
+			for i, e := range v {
+				flatten(fmt.Sprintf("%s.%d", path, i), e)
+			}
+		default:
+			leaf := path[strings.LastIndexByte(path, '.')+1:]
+			val, _ := json.Marshal(v)
+			if leaf == "uptimeSec" || strings.HasSuffix(leaf, "Ms") {
+				val = []byte("<masked>")
+			}
+			lines = append(lines, path[1:]+" "+string(val))
+		}
+	}
+	flatten("", doc)
+	sort.Strings(lines)
+	got := []byte(strings.Join(lines, "\n") + "\n")
+
+	golden := filepath.Join("testdata", "statusz.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run go test -run TestStatuszGolden -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("statusz drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

@@ -79,21 +79,7 @@ type stNode struct {
 // cache re-warm on the restarted node.
 func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 	opts = opts.withDefaults()
-	if opts.HugeM > 0 {
-		// Widen the admission caps and the routing threshold so the huge
-		// phase is admissible and demonstrably bigring-routed. Defaults
-		// go on first — widening must never pull a cap below its default.
-		scfg = scfg.WithDefaults()
-		if scfg.MaxM < opts.HugeM {
-			scfg.MaxM = opts.HugeM
-		}
-		if scfg.MaxTotalWork < 2*int64(opts.HugeM) {
-			scfg.MaxTotalWork = 2 * int64(opts.HugeM)
-		}
-		if scfg.BigRingThreshold == 0 || scfg.BigRingThreshold > opts.HugeM {
-			scfg.BigRingThreshold = opts.HugeM
-		}
-	}
+	scfg = scfg.WidenForHuge(opts.HugeM)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Three listeners first: every node needs the full address list.
@@ -208,7 +194,7 @@ func SelfTest(scfg serve.Config, opts SelfTestOptions, out io.Writer) error {
 			for range work {
 				cs := mix[int(zipf.Uint64())]
 				alg := algs[crng.Intn(len(algs))]
-				in := dihedralCopy(cs.In, crng)
+				in := serve.DihedralCopy(cs.In, crng)
 				res, err := lc.PostSchedule(crng, in, alg)
 				mu.Lock()
 				if err != nil && loadErr == nil {
@@ -400,7 +386,7 @@ func coalesceBurst(nodes []*stNode, bases []string, in instance.Instance, rng *r
 	for i := 0; i < k; i++ {
 		crng := rand.New(rand.NewSource(rng.Int63()))
 		base := bases[i%len(bases)]
-		copyIn := dihedralCopy(in, crng)
+		copyIn := serve.DihedralCopy(in, crng)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -477,14 +463,4 @@ func relisten(addr string, timeout time.Duration) (net.Listener, error) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-// dihedralCopy returns a random rotation — reflected half the time — of
-// in, exercising the canonicalizer on every request.
-func dihedralCopy(in instance.Instance, rng *rand.Rand) instance.Instance {
-	out := in.Rotate(rng.Intn(in.M))
-	if rng.Intn(2) == 1 {
-		out = out.Reflect()
-	}
-	return out
 }

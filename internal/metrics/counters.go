@@ -3,11 +3,10 @@ package metrics
 import "sync/atomic"
 
 // Counter declares one row of an owner's counter table: the key it
-// shows under in JSON views (/v1/statusz, expvar), its Prometheus
-// family and help text, and an optional label. Two rules cover labeled
-// families: rows sharing a Key show as their sum in JSON, and adjacent
-// rows sharing a Name render as one family with one labeled sample per
-// row.
+// shows under in JSON views (/v1/statusz), its Prometheus family and
+// help text, and an optional label. Two rules cover labeled families:
+// rows sharing a Key show as their sum in JSON, and adjacent rows
+// sharing a Name render as one family with one labeled sample per row.
 type Counter struct {
 	Key   string
 	Name  string

@@ -178,7 +178,7 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.SumNs / s.Count)
 }
 
-// QuantileSummary is the fixed percentile digest exported on expvar and
+// QuantileSummary is the fixed percentile digest exported on
 // /v1/statusz. Times are milliseconds for human eyes; the raw buckets
 // travel via /metrics for anything that wants to aggregate.
 type QuantileSummary struct {

@@ -53,7 +53,7 @@ func newCache(entries, shards int, stats *metrics.Counters[stat]) *cache {
 func (c *cache) shard(key string) *cacheShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return &c.shards[int(h.Sum32())%len(c.shards)]
+	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // get returns the cached response body for key, marking it most

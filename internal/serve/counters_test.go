@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -12,8 +14,8 @@ import (
 	"time"
 )
 
-// statuszCounterKeys is the "counters" key set of /v1/statusz and the
-// ringserve expvar, and counterFamilies maps each /metrics counter
+// statuszCounterKeys is the "counters" key set of /v1/statusz, and
+// counterFamilies maps each /metrics counter
 // family onto its key. Both are literal so that renaming a key or a
 // family fails here.
 var (
@@ -84,8 +86,7 @@ func sortedKeys(m map[string]int64) []string {
 // forward, a solver run, a session create, an append and a TTL
 // eviction, and a bigring pin — then requires every counter family on
 // /metrics, its samples summed, to equal the same key in /v1/statusz
-// "counters" and in the ringserve expvar, and "computes" to equal the
-// sum of "engineComputes".
+// "counters", and "computes" to equal the sum of "engineComputes".
 func TestCountersAgreeAcrossSurfaces(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 64, CacheEntries: 4, CacheShards: 1})
 	ok := func(w *httptest.ResponseRecorder) {
@@ -136,12 +137,9 @@ func TestCountersAgreeAcrossSurfaces(t *testing.T) {
 
 	families, series := counterSums(t, get(t, s, "/metrics").Body.String())
 	st := decodeBody[statuszResponse](t, get(t, s, "/v1/statusz"))
-	ev := expvarRingserve(t)
 
-	for surface, counters := range map[string]map[string]int64{"statusz": st.Counters, "expvar": ev.Counters} {
-		if got := sortedKeys(counters); strings.Join(got, ",") != strings.Join(statuszCounterKeys, ",") {
-			t.Fatalf("%s counters keys = %v, want %v", surface, got, statuszCounterKeys)
-		}
+	if got := sortedKeys(st.Counters); strings.Join(got, ",") != strings.Join(statuszCounterKeys, ",") {
+		t.Fatalf("statusz counters keys = %v, want %v", got, statuszCounterKeys)
 	}
 	for family, sum := range families {
 		if strings.HasPrefix(family, "ringsched_solver_") {
@@ -152,8 +150,8 @@ func TestCountersAgreeAcrossSurfaces(t *testing.T) {
 			t.Errorf("counter family %s has no statusz key", family)
 			continue
 		}
-		if st.Counters[key] != sum || ev.Counters[key] != sum {
-			t.Errorf("%s = %d on /metrics, statusz %s = %d, expvar %d", family, sum, key, st.Counters[key], ev.Counters[key])
+		if st.Counters[key] != sum {
+			t.Errorf("%s = %d on /metrics, statusz %s = %d", family, sum, key, st.Counters[key])
 		}
 	}
 	for family := range counterFamilies {
@@ -185,4 +183,78 @@ func TestCountersAgreeAcrossSurfaces(t *testing.T) {
 			t.Errorf("workload left engineComputes[%s] at 0", name)
 		}
 	}
+}
+
+// TestCanceledCountedOnce times a request out at each place a 504 comes
+// from: a leader queued behind a parked worker, a follower coalesced
+// onto that kind of leader, and a session append whose step outlives
+// its deadline. Each must raise canceled by exactly 1 and badRequests
+// by 0.
+func TestCanceledCountedOnce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	// park occupies the one worker until the returned release is called.
+	park := func() (release func()) {
+		parked, block := make(chan struct{}), make(chan struct{})
+		if !s.pool.trySubmit(func(time.Time, time.Duration) { close(parked); <-block }) {
+			t.Fatal("could not park the worker")
+		}
+		<-parked
+		return func() { close(block) }
+	}
+	timesOut := func(name string, run func() *httptest.ResponseRecorder) {
+		t.Helper()
+		before := s.Stats()
+		w := run()
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504; body %s", name, w.Code, w.Body.String())
+		}
+		after := s.Stats()
+		if d := after["canceled"] - before["canceled"]; d != 1 {
+			t.Errorf("%s raised canceled by %d, want 1", name, d)
+		}
+		if d := after["badRequests"] - before["badRequests"]; d != 0 {
+			t.Errorf("%s raised badRequests by %d, want 0", name, d)
+		}
+	}
+	short := RequestOptions{TimeoutMs: 20}
+
+	release := park()
+	timesOut("leader", func() *httptest.ResponseRecorder {
+		return post(t, s, "/v1/schedule", ScheduleRequest{Instance: unitInstance(t, []int64{5, 0, 1}), Algorithm: "A1", Options: short})
+	})
+	release()
+
+	release = park()
+	in := unitInstance(t, []int64{6, 0, 2, 0})
+	body, _ := json.Marshal(ScheduleRequest{Instance: in, Algorithm: "C1"})
+	leaderReq := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body))
+	leader := make(chan int)
+	go func() {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, leaderReq)
+		leader <- w.Code
+	}()
+	// The leader has joined the flight once its compute sits queued.
+	for deadline := time.Now().Add(5 * time.Second); s.pool.queueLen() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never queued")
+		}
+	}
+	timesOut("follower", func() *httptest.ResponseRecorder {
+		return post(t, s, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1", Options: short})
+	})
+	release()
+	if code := <-leader; code != http.StatusOK {
+		t.Fatalf("leader: status %d", code)
+	}
+
+	// Uncanceled, this append steps for about 0.3 s on a 2-vCPU machine,
+	// over ten times its deadline.
+	id := createSession(t, s, SessionCreateRequest{M: 20_000}).ID
+	timesOut("session append", func() *httptest.ResponseRecorder {
+		return post(t, s, "/v1/session/"+id+"/arrivals", SessionArrivalsRequest{
+			Arrivals: []ArrivalBatch{{T: 0, Proc: 0, Count: 5_000_000}},
+			Options:  short,
+		})
+	})
 }

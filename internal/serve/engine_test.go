@@ -71,7 +71,8 @@ func TestScheduleEngineRouting(t *testing.T) {
 	if c := s.EngineComputes(); c["bigring"] != 2 || c["pool"] != 1 || s.Stats()["computes"] != 3 {
 		t.Fatalf("computes by engine %v (total %d), want bigring 2 (auto huge + explicit small), pool 1", c, s.Stats()["computes"])
 	}
-	if lat := s.latencyOut()["schedule"]; lat.Engine["bigring"].Count != 2 || lat.Engine["pool"].Count != 1 {
+	st := decodeBody[statuszResponse](t, get(t, s, "/v1/statusz"))
+	if lat := st.Latency["schedule"]; lat.Engine["bigring"].Count != 2 || lat.Engine["pool"].Count != 1 {
 		t.Fatalf("engine histogram counts = pool %d / bigring %d, want 1 / 2",
 			lat.Engine["pool"].Count, lat.Engine["bigring"].Count)
 	}

@@ -15,7 +15,8 @@ import (
 
 // This file is the request-observability plumbing: request IDs, the
 // per-request span trace feeding the -access-log JSONL stream, and the
-// per-endpoint latency histograms behind /v1/statusz and /metrics.
+// recording of the per-endpoint latency histograms (declared in
+// metrics.go).
 //
 // Every request gets a reqInfo carried in its context. Handlers and the
 // shared respond path annotate it (status, cache verdict, error code,
@@ -23,17 +24,6 @@ import (
 // and, when the access log is on, one ringsched.span/v1 record. All the
 // annotation helpers are nil-safe, so the hot path stays branch-cheap
 // and nothing needs to care whether tracing is enabled.
-
-// endpointLat is one endpoint's latency histograms: total is the wall
-// time from handler entry to response written, queue the time queued
-// before a worker picked the task up, and byEngine the time the task
-// spent executing on a worker, split by compute engine (indexed like
-// engine.All) so huge-instance and long-session latencies never fold
-// into the pool's percentiles.
-type endpointLat struct {
-	total, queue metrics.Histogram
-	byEngine     [len(engine.All)]metrics.Histogram
-}
 
 // latEndpoints lists the instrumented endpoints in exposition order.
 var latEndpoints = []string{"schedule", "optimal", "compare", "session"}
@@ -101,9 +91,7 @@ func (ri *reqInfo) observeQueue(start time.Time, wait time.Duration) {
 	if ri == nil {
 		return
 	}
-	if ri.lat != nil {
-		ri.lat.queue.Observe(wait)
-	}
+	ri.lat.observe(latQueue, 0, wait)
 	ri.tr.Add("queue", "", start, wait)
 }
 
@@ -127,9 +115,7 @@ func (s *Server) wrap(op string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		w.Header().Set("X-Request-Id", ri.id)
 		h(w, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
-		if lat != nil {
-			lat.total.Observe(time.Since(ri.start))
-		}
+		lat.observe(latTotal, 0, time.Since(ri.start))
 		if s.accessLog != nil {
 			rec := ri.tr.Record(ri.id, op)
 			rec.Status = int(ri.status.Load())

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -26,62 +25,6 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
 	return w
-}
-
-// expvarRingserve reads the process-wide "ringserve" expvar and decodes
-// it.
-func expvarRingserve(t *testing.T) struct {
-	Counters map[string]int64              `json:"counters"`
-	Latency  map[string]endpointLatencyOut `json:"latency"`
-} {
-	t.Helper()
-	v := expvar.Get("ringserve")
-	if v == nil {
-		t.Fatal("expvar ringserve not published")
-	}
-	var out struct {
-		Counters map[string]int64              `json:"counters"`
-		Latency  map[string]endpointLatencyOut `json:"latency"`
-	}
-	if err := json.Unmarshal([]byte(v.String()), &out); err != nil {
-		t.Fatalf("decode expvar %q: %v", v.String(), err)
-	}
-	return out
-}
-
-// TestExpvarTracksLiveServer is the regression test for the old
-// expvarOnce bug: the first Server in a process permanently owned the
-// "ringserve" expvar name, so a second daemon silently reported the
-// first one's counters. The name must follow the most recently created
-// server.
-func TestExpvarTracksLiveServer(t *testing.T) {
-	a := newTestServer(t, Config{Workers: 1})
-	in := unitInstance(t, []int64{5, 0, 0, 1})
-	for i := 0; i < 3; i++ {
-		if w := post(t, a, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "A1"}); w.Code != http.StatusOK {
-			t.Fatalf("warmup %d: %d %s", i, w.Code, w.Body.String())
-		}
-	}
-	if got := expvarRingserve(t); got.Counters["requests"] != 3 {
-		t.Fatalf("expvar requests = %d, want 3 (server a's traffic)", got.Counters["requests"])
-	}
-
-	// A second server takes over the name with fresh counters — before
-	// the live-server indirection this still showed a's 3 requests.
-	b := newTestServer(t, Config{Workers: 1})
-	if got := expvarRingserve(t); got.Counters["requests"] != 0 {
-		t.Fatalf("expvar requests = %d after new server, want 0 (stale server a state)", got.Counters["requests"])
-	}
-	if w := post(t, b, "/v1/schedule", ScheduleRequest{Instance: in, Algorithm: "C1"}); w.Code != http.StatusOK {
-		t.Fatalf("server b request: %d %s", w.Code, w.Body.String())
-	}
-	got := expvarRingserve(t)
-	if got.Counters["requests"] != 1 {
-		t.Fatalf("expvar requests = %d, want 1 (server b's traffic)", got.Counters["requests"])
-	}
-	if got.Latency["schedule"].Total.Count != 1 {
-		t.Fatalf("expvar latency digest = %+v, want schedule count 1", got.Latency["schedule"])
-	}
 }
 
 // TestRequestIDMintedAndEchoed checks the X-Request-Id contract:

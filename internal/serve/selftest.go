@@ -45,6 +45,21 @@ func (o SelfTestOptions) withDefaults() SelfTestOptions {
 	return o
 }
 
+// WidenForHuge returns c with the admission caps and the routing
+// threshold raised, where needed, so a dense unit ring of m processors
+// (a selftest's huge phase) is admissible and demonstrably
+// bigring-routed; m <= 0 returns c unchanged.
+func (c Config) WidenForHuge(m int) Config {
+	if m <= 0 {
+		return c
+	}
+	c = c.withDefaults()
+	c.MaxM = max(c.MaxM, m)
+	c.MaxTotalWork = max(c.MaxTotalWork, 2*int64(m))
+	c.BigRingThreshold = min(c.BigRingThreshold, m)
+	return c
+}
+
 // SelfTest stands the daemon up on a loopback listener and replays a
 // zipf-skewed mix of paper-suite instances against /v1/schedule, each
 // request a random rotation or reflection of its base instance. It
@@ -57,22 +72,7 @@ func (o SelfTestOptions) withDefaults() SelfTestOptions {
 //     hit-rate over the run is at least 50%.
 func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 	opts = opts.withDefaults()
-	if opts.HugeM > 0 {
-		// Widen the admission caps and the routing threshold so the huge
-		// phase is admissible and demonstrably bigring-routed. Defaults
-		// go on first — widening must never pull a cap below its default.
-		cfg = cfg.WithDefaults()
-		if cfg.MaxM < opts.HugeM {
-			cfg.MaxM = opts.HugeM
-		}
-		if cfg.MaxTotalWork < 2*int64(opts.HugeM) {
-			cfg.MaxTotalWork = 2 * int64(opts.HugeM)
-		}
-		if cfg.BigRingThreshold == 0 || cfg.BigRingThreshold > opts.HugeM {
-			cfg.BigRingThreshold = opts.HugeM
-		}
-	}
-	s := New(cfg)
+	s := New(cfg.WidenForHuge(opts.HugeM))
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -132,7 +132,7 @@ func SelfTest(cfg Config, opts SelfTestOptions, out io.Writer) error {
 			for range work {
 				cs := mix[int(zipf.Uint64())]
 				alg := algs[rng.Intn(len(algs))]
-				in := dihedralCopy(cs.In, rng)
+				in := DihedralCopy(cs.In, rng)
 				res, err := lc.PostSchedule(rng, in, alg)
 				mu.Lock()
 				if err != nil && mismatch == nil {
@@ -366,9 +366,9 @@ func streamingPhase(httpc *http.Client, base string, seed int64) (string, error)
 		m, terminal.Makespan, terminal.MaxFlowTime, time.Since(start).Round(time.Millisecond)), nil
 }
 
-// dihedralCopy returns a random rotation — reflected half the time — of
+// DihedralCopy returns a random rotation — reflected half the time — of
 // in, exercising the canonicalizer on every request.
-func dihedralCopy(in instance.Instance, rng *rand.Rand) instance.Instance {
+func DihedralCopy(in instance.Instance, rng *rand.Rand) instance.Instance {
 	out := in.Rotate(rng.Intn(in.M))
 	if rng.Intn(2) == 1 {
 		out = out.Reflect()

@@ -21,13 +21,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -117,11 +115,10 @@ type Remote interface {
 // answers from its own cache/pool and never re-forwards.
 const PeerForwardHeader = "X-Ringserve-Peer"
 
-// WithDefaults returns c with every zero field replaced by its default.
-// New applies it automatically; callers that adjust caps relative to the
-// effective values (e.g. the selftests' huge-instance widening) apply it
-// first so they only ever raise limits, never clobber an unset default.
-func (c Config) WithDefaults() Config {
+// withDefaults returns c with every zero field replaced by its default.
+// New applies it, and WidenForHuge applies it first so it only ever
+// raises limits, never clobbers an unset default.
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -188,23 +185,12 @@ type Server struct {
 	solverBase metrics.CounterSnapshot[metrics.SolverStat]
 }
 
-// expvarOnce guards the process-wide expvar name (Publish panics on
-// duplicates; tests build many Servers), and liveServer is the
-// indirection behind it: the name always reports the most recently
-// created Server's stats, so a second daemon in one process — common in
-// tests, and legal in embedders — is never silently shadowed by the
-// first one's counters.
-var (
-	expvarOnce sync.Once
-	liveServer atomic.Pointer[Server]
-)
-
 // New builds a Server from cfg (zero fields defaulted) and starts its
 // worker pool. Callers that never Serve should still let drain run via
 // Serve/Close semantics — in tests, use httptest with s.Handler() and
 // call s.drainPool via Serve's path or simply leak the pool until exit.
 func New(cfg Config) *Server {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	stats := metrics.NewCounters[stat](statRows[:])
 	s := &Server{
 		cfg:        cfg,
@@ -234,15 +220,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/readyz", s.wrap("readyz", s.handleReadyz))
 	s.mux.HandleFunc("/v1/statusz", s.wrap("statusz", s.handleStatusz))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	liveServer.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("ringserve", expvar.Func(func() any {
-			if live := liveServer.Load(); live != nil {
-				return live.status()
-			}
-			return nil
-		}))
-	})
 	return s
 }
 
@@ -373,14 +350,19 @@ func writeRaw(w http.ResponseWriter, ri *reqInfo, status int, cacheStatus string
 // writeError maps err onto the HTTP plane via the exported sentinels,
 // echoing the request ID in the error payload (error bodies are never
 // cached, so the ID can ride in-band; success bodies stay ID-free to
-// keep cached and fresh responses byte-identical).
+// keep cached and fresh responses byte-identical). It is the one place
+// error responses are counted: 429 as rejected, 504 as canceled, any
+// other 4xx as a bad request.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	ri := info(r)
 	status, code := errorCode(err)
-	if status == http.StatusTooManyRequests {
+	switch {
+	case status == http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", "1")
 		s.stats.Inc(statRejected)
-	} else if status >= 400 && status < 500 {
+	case status == http.StatusGatewayTimeout:
+		s.stats.Inc(statCanceled)
+	case status >= 400 && status < 500:
 		s.stats.Inc(statBadRequests)
 	}
 	ri.setError(code)
@@ -450,7 +432,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 			s.stats.Inc(statCoalesced)
 			select {
 			case <-ctx.Done():
-				s.stats.Inc(statCanceled)
 				s.writeError(w, r, ctx.Err())
 				return
 			case <-call.done:
@@ -478,9 +459,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, spec computeSpe
 		}
 		s.flight.leave(spec.key, call, body)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, sim.ErrCanceled) {
-				s.stats.Inc(statCanceled)
-			}
 			s.writeError(w, r, err)
 			return
 		}
@@ -570,9 +548,7 @@ func (s *Server) submit(ctx context.Context, ri *reqInfo, e *engine.Engine, f fu
 		}
 		if ri != nil {
 			d := time.Since(start)
-			if ri.lat != nil {
-				ri.lat.byEngine[e.Index()].Observe(d)
-			}
+			ri.lat.observe(latEngine, e.Index(), d)
 			ri.tr.Add("compute", "", start, d)
 		}
 		ch <- o
@@ -912,88 +888,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Write([]byte("{\"status\":\"ready\"}\n"))
 	}
-}
-
-// statuszResponse is the live counter dump behind GET /v1/statusz.
-type statuszResponse struct {
-	Schema       string  `json:"schema"`
-	UptimeSec    float64 `json:"uptimeSec"`
-	Workers      int     `json:"workers"`
-	WorkersBusy  int64   `json:"workersBusy"`
-	QueueLen     int     `json:"queueLen"`
-	QueueDepth   int     `json:"queueDepth"`
-	CacheEntries int     `json:"cacheEntries"`
-	CacheCap     int     `json:"cacheCap"`
-	HitRate      float64 `json:"hitRate"`
-	Ready        bool    `json:"ready"`
-	// Sessions counts live streaming sessions against their cap.
-	Sessions    int `json:"sessions"`
-	SessionsCap int `json:"sessionsCap"`
-	// Counters holds the statRows counters by key; computes is the sum
-	// of EngineComputes, read from the same snapshot.
-	Counters       map[string]int64              `json:"counters"`
-	EngineComputes map[string]int64              `json:"engineComputes"`
-	Latency        map[string]endpointLatencyOut `json:"latency"`
-	// Cluster is the cluster layer's status block (shard ownership,
-	// peer breaker states); absent on a single-node daemon.
-	Cluster any `json:"cluster,omitempty"`
-}
-
-// endpointLatencyOut is one endpoint's latency digest on the wire:
-// p50/p90/p99 plus mean and count for the total and the queue wait, and
-// for the execution time per engine, keyed by registry name.
-type endpointLatencyOut struct {
-	Total  metrics.QuantileSummary            `json:"total"`
-	Queue  metrics.QuantileSummary            `json:"queue"`
-	Engine map[string]metrics.QuantileSummary `json:"engine"`
-}
-
-// latencyOut digests every instrumented endpoint's histograms.
-func (s *Server) latencyOut() map[string]endpointLatencyOut {
-	out := make(map[string]endpointLatencyOut, len(latEndpoints))
-	for _, ep := range latEndpoints {
-		lat := s.lat[ep]
-		byEngine := make(map[string]metrics.QuantileSummary, len(engine.All))
-		for i := range engine.All {
-			byEngine[engine.All[i].Name] = lat.byEngine[i].Snapshot().Summary()
-		}
-		out[ep] = endpointLatencyOut{Total: lat.total.Snapshot().Summary(), Queue: lat.queue.Snapshot().Summary(), Engine: byEngine}
-	}
-	return out
-}
-
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, info(r), http.StatusOK, "", s.status())
-}
-
-// status is the /v1/statusz body, which expvar publishes as "ringserve"
-// too.
-func (s *Server) status() statuszResponse {
-	snap := s.stats.Snapshot()
-	hits, misses := snap.Get(statCacheHits), snap.Get(statCacheMisses)
-	var hitRate float64
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	resp := statuszResponse{
-		Schema:         Schema,
-		UptimeSec:      time.Since(s.start).Seconds(),
-		Workers:        s.cfg.Workers,
-		WorkersBusy:    s.pool.busyWorkers(),
-		QueueLen:       s.pool.queueLen(),
-		QueueDepth:     s.cfg.QueueDepth,
-		CacheEntries:   s.cache.len(),
-		CacheCap:       s.cfg.CacheEntries,
-		HitRate:        hitRate,
-		Ready:          s.Ready(),
-		Sessions:       s.sessions.len(),
-		SessionsCap:    s.cfg.MaxSessions,
-		Counters:       snap.Map(),
-		EngineComputes: engineComputes(snap),
-		Latency:        s.latencyOut(),
-	}
-	if s.cfg.ExtraStatus != nil {
-		resp.Cluster = s.cfg.ExtraStatus()
-	}
-	return resp
 }

@@ -16,9 +16,37 @@ import (
 	"time"
 
 	"ringsched/internal/instance"
+	"ringsched/internal/metrics"
 	"ringsched/internal/opt"
 	"ringsched/internal/sim"
 )
+
+// statuszResponse decodes the /v1/statusz document.
+type statuszResponse struct {
+	Schema         string                        `json:"schema"`
+	UptimeSec      float64                       `json:"uptimeSec"`
+	Workers        int                           `json:"workers"`
+	WorkersBusy    int64                         `json:"workersBusy"`
+	QueueLen       int                           `json:"queueLen"`
+	QueueDepth     int                           `json:"queueDepth"`
+	CacheEntries   int                           `json:"cacheEntries"`
+	CacheCap       int                           `json:"cacheCap"`
+	HitRate        float64                       `json:"hitRate"`
+	Ready          bool                          `json:"ready"`
+	Sessions       int                           `json:"sessions"`
+	SessionsCap    int                           `json:"sessionsCap"`
+	Counters       map[string]int64              `json:"counters"`
+	EngineComputes map[string]int64              `json:"engineComputes"`
+	Latency        map[string]endpointLatencyOut `json:"latency"`
+}
+
+// endpointLatencyOut decodes one endpoint's latency digest: the total
+// and the queue wait, and the execution time per engine.
+type endpointLatencyOut struct {
+	Total  metrics.QuantileSummary            `json:"total"`
+	Queue  metrics.QuantileSummary            `json:"queue"`
+	Engine map[string]metrics.QuantileSummary `json:"engine"`
+}
 
 // newTestServer builds a server with small, deterministic knobs and
 // registers pool drain as cleanup.

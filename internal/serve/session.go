@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -262,12 +261,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, fmt.Errorf("%w: session seeds require a unit-job instance", errBadRequest))
 			return
 		}
-		m = req.Instance.M
-		for i, n := range req.Instance.Unit {
-			if n > 0 {
-				seed = append(seed, online.Batch{Time: 0, Proc: i, Count: n})
-			}
+		oin, err := onlineInstance(*req.Instance, nil)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
 		}
+		m, seed = oin.M, oin.Batches
 	}
 	if m < 1 || m > s.cfg.MaxM {
 		s.writeError(w, r, fmt.Errorf("%w: ring size %d (want 1..%d)", errBadRequest, m, s.cfg.MaxM))
@@ -405,7 +404,7 @@ func (s *Server) handleSessionArrivals(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		s.sessionError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	after := sess.snapshotLocked(false)
@@ -440,21 +439,16 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // snapshot.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.stats.Inc(statRequests)
-	id := r.PathValue("id")
-	sess, ok := s.sessions.get(id, time.Now())
-	if !ok {
-		s.writeError(w, r, fmt.Errorf("%w: %q", errSessionNotFound, id))
-		return
-	}
-	if !sess.mu.TryLock() {
-		s.writeError(w, r, fmt.Errorf("%w: %q has a mutation in flight", errSessionBusy, id))
+	sess, err := s.lockSession(r.PathValue("id"))
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	defer sess.mu.Unlock()
-	s.sessions.remove(id)
+	s.sessions.remove(sess.id)
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(sess.opts.TimeoutMs))
 	defer cancel()
-	err := s.sessionCompute(ctx, info(r), func(ctx context.Context) error {
+	err = s.sessionCompute(ctx, info(r), func(ctx context.Context) error {
 		if err := sess.eng.StepQuiescent(ctx); err != nil {
 			return err
 		}
@@ -462,17 +456,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		s.sessionError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	writeJSON(w, info(r), http.StatusOK, "", sess.snapshotLocked(true))
-}
-
-// sessionError writes err like writeError but also feeds the canceled
-// counter, which the one-shot respond path maintains itself.
-func (s *Server) sessionError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.stats.Inc(statCanceled)
-	}
-	s.writeError(w, r, err)
 }
