@@ -202,6 +202,7 @@ func microSuite() []benchmark {
 			if err != nil {
 				panic(err)
 			}
+			defer e.Close()
 			res := measure(name, minTime, func(int) {
 				if e.Step() {
 					e.Reset()

@@ -12,9 +12,9 @@
 //	        [-progress] [-faults seed:spec] [-debug-addr :6060]
 //	        [-engine pool|bigring]
 //
-// -workers parallelizes across suite cases. A bigring run picks its own
-// stepping from the ring size: span-parallel at 2^16 processors and
-// above, one sequential sweep below, so Table 1 rings always sweep.
+// -workers parallelizes across suite cases. A bigring run forks its
+// spans only while at least 4,096 buckets are live, so Table 1 rings
+// (at most 2,000 buckets) always step on the calling goroutine.
 //
 // With -faults every run executes under the given seeded fault schedule
 // (message loss, duplication, delay, processor stalls and crash-stops)

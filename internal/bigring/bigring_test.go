@@ -115,6 +115,7 @@ func TestReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer e.Close()
 		for !e.Step() {
 		}
 		first, err := e.Result()

@@ -1,10 +1,12 @@
 // Package bigring is the allocation-free big-ring engine: a
 // struct-of-arrays execution of the six bucket algorithms (A1/B1/C1,
-// A2/B2/C2), built for rings of a million processors and beyond. Steps
-// run either as the classic sequential alive-list sweep or — with
-// Options.Workers > 1 — as a span-partitioned fork/join over persistent
-// worker goroutines (parallel.go) that produces bit-identical results at
-// every worker count.
+// A2/B2/C2), built for rings of a million processors and beyond. A step
+// runs as span kernels over contiguous processor spans (parallel.go)
+// that visit only the live buckets, found through one occupancy bitmap
+// per direction. The coordinator runs the whole ring inline while few
+// buckets are live and forks the spans to persistent worker goroutines
+// once many are; results are bit-identical at every span count, so that
+// choice is free on every step.
 //
 // The generic engine in internal/sim models arbitrary algorithms: every
 // bucket is a heap-allocated packet whose meta struct is copied on each
@@ -17,7 +19,7 @@
 //     counter-clockwise one at (o-t) mod m — positions are affine in t
 //     and never stored;
 //   - within one direction, buckets occupy pairwise distinct processors
-//     at every step, so a step is two flat sweeps (clockwise first, then
+//     at every step, so a step is two flat passes (clockwise first, then
 //     counter-clockwise, matching the generic engine's delivery order)
 //     over dense arrays indexed by bucket;
 //   - a processor at speed 1 is a rate-1 server: its pool never needs
@@ -30,12 +32,12 @@
 //     the balance path is a single per-bucket quota.
 //
 // State lives in two arenas (one []int64, one []float64) carved into
-// parallel per-processor and per-bucket arrays sized once in New; alive
-// buckets are compacted with swap-removal, which is order-safe within a
-// direction because of the distinct-processor property. After New, a run
-// performs no heap allocation: Step is allocation-free in steady state
-// (proven by testing.AllocsPerRun in the package tests) and Reset
-// rewinds the engine for another run without allocating.
+// parallel per-processor and per-bucket arrays sized once in New, plus
+// the two occupancy bitmaps: a bit is set when its bucket survives
+// launch and cleared when it dies. After New, a run performs no heap
+// allocation: Step is allocation-free in steady state (proven by
+// testing.AllocsPerRun in the package tests) and Reset rewinds the
+// engine for another run without allocating.
 //
 // The engine reproduces internal/sim bit for bit on its domain — same
 // drop quotas (the floating-point expressions are copied verbatim from
@@ -57,7 +59,6 @@ import (
 	"ringsched/internal/bucket"
 	"ringsched/internal/instance"
 	"ringsched/internal/metrics"
-	"ringsched/internal/ring"
 	"ringsched/internal/sim"
 )
 
@@ -76,44 +77,37 @@ type Options struct {
 	// Collector, when non-nil, receives the same telemetry stream the
 	// pool engine emits (Begin, per-visit Deliver/Send, one Step
 	// snapshot per step, End). The snapshot costs one O(m) pass per
-	// step, so a collector turns the O(alive buckets) hot loop back
-	// into an O(m) one; a nil Collector costs one pointer comparison
-	// per visit and per step. A collector also forces sequential
-	// stepping whatever Workers says: the telemetry stream is ordered.
+	// step, so a collector turns the O(live buckets) hot loop back into
+	// an O(m) one; a nil Collector costs one pointer comparison per
+	// visit and per step. A collector also forces one span whatever
+	// Workers says: the telemetry stream is ordered.
 	Collector metrics.Collector
-	// Workers selects the stepping mode. 1 runs the classic sequential
-	// alive-list sweep; n > 1 partitions the ring into min(n, m)
-	// contiguous processor spans stepped by persistent worker
-	// goroutines (see parallel.go — results are bit-identical to
-	// sequential at every worker count, and Step stays allocation-free
-	// after the first call). 0 picks GOMAXPROCS, but stays sequential
-	// below ParallelMinM processors where the per-step fork/join and
-	// the span scans cost more than they save. Parallel engines hold
-	// goroutines until Close (Run closes for you).
+	// Workers is the span count: n partitions the ring into min(n, m)
+	// contiguous processor spans, and 0 picks GOMAXPROCS (capped at m
+	// the same way). A step forks its spans to persistent worker
+	// goroutines only while many buckets are live; otherwise the
+	// coordinator runs the whole ring inline. Results are bit-identical
+	// at every span count, and Step stays allocation-free after the
+	// first fork. An engine that forked holds goroutines until Close
+	// (Run closes for you).
 	Workers int
 }
-
-// ParallelMinM is the ring size below which Workers == 0 stays
-// sequential: the parallel mode scans every span slot each step (O(m)
-// per step, SIMD-friendly, instead of the sequential sweep's O(alive)),
-// which only pays off on big rings. An explicit Workers > 1 is always
-// honored, whatever m.
-const ParallelMinM = 1 << 16
 
 // Engine runs one instance under one bucket algorithm. Create it with
 // New, drive it with Step (or Run), read the outcome with Result, and
 // reuse it with Reset. An Engine is not safe for concurrent use.
 type Engine struct {
-	m     int
-	nb    int // bucket index space: m (unidirectional) or 2m
-	par   bucket.Params
-	name  string
-	total int64
+	m      int
+	par    bucket.Params
+	name   string
+	total  int64
+	loaded int // processors with work: the live count before step 0
 
 	// Arenas backing every mutable array below; Reset clears them
 	// wholesale instead of re-allocating.
 	arenaI []int64
 	arenaF []float64
+	arenaB []uint64
 
 	// Per-processor state (length m). x is the immutable instance load;
 	// aInt is cumulative integral intake (== Processed == BusySteps at
@@ -127,8 +121,9 @@ type Engine struct {
 	passed  []int64   // variant A: work seen passing, incl. own x
 	aFrac   []float64 // variant C shadow: fractional intake
 
-	// Per-bucket state (length nb): clockwise bucket of origin o is
-	// index o, counter-clockwise is m+o.
+	// Per-bucket state (length m, or 2m when bidirectional): clockwise
+	// bucket of origin o is index o, counter-clockwise is m+o. A dead
+	// bucket's content is 0.
 	content  []int64
 	perInt   []int64
 	seen     []int64   // variants B and C
@@ -137,14 +132,14 @@ type Engine struct {
 	dropFrac []float64 // variant C shadow: fractional drops
 	best     []float64 // variant B: monotone Lemma 1 target
 
-	// Alive bucket lists, swap-removed on death. Safe because within a
-	// direction all alive buckets sit on distinct processors, so the
-	// sweep order within one list is immaterial.
-	aliveCW  []int32
-	aliveCCW []int32
+	// live holds one occupancy bitmap per direction (clockwise, then
+	// counter-clockwise on bidirectional runs): bit o of live[d] is set
+	// while bucket d*m+o carries work.
+	live [2][]uint64
 
 	t        int64
 	steps    int64
+	alive    int   // live buckets after the last step; decides the next fan-out
 	maxCur   int64 // running makespan: max busy-until over all deposits
 	jobHops  int64
 	messages int64
@@ -155,12 +150,11 @@ type Engine struct {
 	mc      metrics.Collector
 	mcPools []int64 // reused per-step pool snapshot (collector only)
 
-	// Parallel stepping state (workers > 1; see parallel.go). spanAt
-	// has workers+1 entries: worker w owns processors
-	// [spanAt[w], spanAt[w+1]). accs are the padded per-worker
-	// accumulators merged after each step; cmds/joins are the
-	// persistent fork/join channels, spawned lazily on the first
-	// parallel Step and released by Close.
+	// Span state (see parallel.go). spanAt has workers+1 entries: span
+	// w owns processors [spanAt[w], spanAt[w+1]). accs are the padded
+	// per-span accumulators merged after each step; an inline step
+	// uses accs[0] alone. cmds/joins are the persistent fork/join
+	// channels, spawned lazily on the first fork and released by Close.
 	workers int
 	spanAt  []int
 	accs    []parAcc
@@ -171,8 +165,8 @@ type Engine struct {
 }
 
 // New validates the instance and builds an engine positioned before
-// step 0. It performs all allocation the run will ever need: two arenas
-// carved into the variant's arrays, plus the alive lists.
+// step 0. It performs all allocation the run will ever need: three
+// arenas carved into the variant's arrays and the occupancy bitmaps.
 func New(in instance.Instance, spec bucket.Spec, opts Options) (*Engine, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -188,7 +182,6 @@ func New(in instance.Instance, spec bucket.Spec, opts Options) (*Engine, error) 
 	}
 	e := &Engine{
 		m:     m,
-		nb:    nb,
 		par:   par,
 		name:  spec.Name(),
 		total: in.TotalWork(),
@@ -240,42 +233,38 @@ func New(in instance.Instance, spec bucket.Spec, opts Options) (*Engine, error) 
 		e.frac = carveF(nb)
 		e.dropFrac = carveF(nb)
 	}
+	words := (m + 63) / 64
+	e.arenaB = make([]uint64, nb/m*words)
+	for d := 0; d < nb/m; d++ {
+		e.live[d] = e.arenaB[d*words : (d+1)*words : (d+1)*words]
+	}
 
 	e.x = append([]int64(nil), in.Unit...)
+	for _, x := range e.x {
+		if x > 0 {
+			e.loaded++
+		}
+	}
+	e.alive = e.loaded
 
-	// Stepping mode: a collector needs the ordered sequential stream,
-	// auto (0) stays sequential below ParallelMinM, and the span count
-	// never exceeds m (each span must own at least one processor).
+	// Span count: a collector needs the ordered one-span stream, and no
+	// span may be empty.
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-		if m < ParallelMinM {
-			w = 1
-		}
 	}
 	if e.mc != nil {
 		w = 1
 	}
-	if w > m {
-		w = m
-	}
+	w = min(w, m)
 	e.workers = w
-	if w > 1 {
-		e.spanAt = make([]int, w+1)
-		for i := 0; i <= w; i++ {
-			e.spanAt[i] = i * m / w
-		}
-		e.accs = make([]parAcc, w)
-		e.cmds = make([]chan parJob, w-1)
-		e.joins = make(chan struct{}, w-1)
-	} else {
-		// The alive lists exist only on the sequential path; parallel
-		// stepping tracks liveness through content[b] > 0 instead.
-		e.aliveCW = make([]int32, 0, m)
-		if par.Bidirectional {
-			e.aliveCCW = make([]int32, 0, m)
-		}
+	e.spanAt = make([]int, w+1)
+	for i := 0; i <= w; i++ {
+		e.spanAt[i] = i * m / w
 	}
+	e.accs = make([]parAcc, w)
+	e.cmds = make([]chan parJob, w-1)
+	e.joins = make(chan struct{}, w-1)
 	if e.mc != nil {
 		e.mcPools = make([]int64, m)
 	}
@@ -287,26 +276,21 @@ func New(in instance.Instance, spec bucket.Spec, opts Options) (*Engine, error) 
 func (e *Engine) Reset() {
 	clear(e.arenaI)
 	clear(e.arenaF)
-	e.aliveCW = e.aliveCW[:0]
-	if e.aliveCCW != nil {
-		e.aliveCCW = e.aliveCCW[:0]
-	}
-	for i := range e.accs {
-		e.accs[i] = parAcc{}
-	}
+	clear(e.arenaB)
+	clear(e.accs)
 	e.t, e.steps, e.maxCur, e.jobHops, e.messages = 0, 0, 0, 0, 0
+	e.alive = e.loaded
 	e.done = false
 	e.err = nil
 }
 
-// Workers reports the engine's effective span count: 1 means the
-// sequential alive-list sweep, n > 1 means n-span parallel stepping.
+// Workers reports the engine's span count.
 func (e *Engine) Workers() int { return e.workers }
 
-// Close releases the persistent span workers a parallel engine spawned.
-// Idempotent and safe on a sequential engine (where it is a no-op); the
-// engine must not be stepped again afterwards. Run closes for you —
-// call Close only when driving New/Step directly.
+// Close releases the span workers an engine spawned on its first fork.
+// Idempotent and safe on an engine that never forked (where it is a
+// no-op); the engine must not be stepped again afterwards. Run closes
+// for you — call Close only when driving New/Step directly.
 func (e *Engine) Close() {
 	if e == nil || e.closed {
 		return
@@ -375,38 +359,29 @@ func (e *Engine) Step() bool {
 		return true
 	}
 
+	// The previous step's live count (step 0: the loaded processors)
+	// decides whether this step forks; few live buckets cost less than
+	// the fork/join.
+	fork := e.workers > 1 && e.alive >= fanOutMin
 	if t == 0 {
 		if e.mc != nil {
 			e.mc.Begin(metrics.RunInfo{
 				Algorithm: e.name, M: e.m, Speed: 1, Transit: 1, TotalWork: e.total,
 			})
 		}
-		if e.workers > 1 {
-			e.forkJoin(jobStart, 0)
-		} else {
-			e.start()
-		}
-	} else if e.workers > 1 {
-		// Two barriered phases: every clockwise visit of step t lands
-		// before any counter-clockwise one, exactly the sequential
-		// (and generic-engine) delivery order.
-		e.forkJoin(jobSweepCW, t)
-		if e.par.Bidirectional {
-			e.forkJoin(jobSweepCCW, t)
-		}
+		e.phase(jobStart, 0, fork)
 	} else {
-		e.aliveCW = e.sweep(e.aliveCW, true, t)
-		if e.aliveCCW != nil {
-			e.aliveCCW = e.sweep(e.aliveCCW, false, t)
+		// Two barriered phases: every clockwise visit of step t lands
+		// before any counter-clockwise one, the generic engine's
+		// delivery order.
+		e.phase(jobCW, t, fork)
+		if e.par.Bidirectional {
+			e.phase(jobCCW, t, fork)
 		}
 	}
 
-	var alive int
-	if e.workers > 1 {
-		alive = e.mergeAccs()
-	} else {
-		alive = len(e.aliveCW) + len(e.aliveCCW)
-	}
+	alive := e.mergeAccs()
+	e.alive = alive
 	if e.mc != nil {
 		e.emitStep(t)
 	}
@@ -436,75 +411,30 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// deposit drops w units at processor j during step t: the lazy rate-1
-// server absorbs it, and the makespan, intake and peak-pool accounting
-// update in place. Pool occupancy at the generic engine's measurement
-// point (phase 2 of step t, after all of the step's deliveries) is
-// cur-t, and taking the max after every deposit of the step yields
-// exactly that value.
-func (e *Engine) deposit(j int, t, w int64) {
-	c := e.cur[j]
-	if c < t {
-		c = t
-	}
-	c += w
-	e.cur[j] = c
-	e.aInt[j] += w
-	if c > e.maxCur {
-		e.maxCur = c
-	}
-	if p := c - t; p > e.maxPool[j] {
-		e.maxPool[j] = p
-	}
-}
-
-// dropQuota computes the variant's drop quota for bucket b visiting
-// processor j at step t carrying w, mutating the same per-bucket and
-// per-processor state the generic nodes would. arriving distinguishes a
-// hop-time visit from the launch visit at step 0 (where the bucket's
-// segment knowledge already includes the origin's load and variant A
-// has already counted it as passed). The floating-point expressions are
-// copied verbatim from internal/bucket's dropAndForward so results stay
-// bit-identical.
-func (e *Engine) dropQuota(b, j int, w, t int64, arriving bool) int64 {
+// launchQuota is the variant's drop quota for bucket b's step-0 visit
+// at its origin j: the bucket's segment knowledge already includes the
+// origin's load and variant A has already counted it as passed. The
+// floating-point expressions are copied from internal/bucket's
+// dropAndForward so results stay bit-identical; its math.Min and
+// math.Max become the builtin min and max, which the Go spec gives the
+// same NaN and signed-zero rules and which compile inline.
+func (e *Engine) launchQuota(b, j int) int64 {
 	switch {
 	case e.par.Variant == bucket.VariantA:
-		if arriving {
-			e.passed[j] += w
-		}
+		// At step 0 the pool occupancy max(0, cur-t) is cur itself.
 		target := e.par.C * math.Sqrt(float64(e.passed[j]))
-		pool := e.cur[j] - t
-		if pool < 0 {
-			pool = 0
-		}
-		return int64(target) - pool
+		return int64(target) - e.cur[j]
 	case e.par.Variant == bucket.VariantB:
-		s := e.seen[b]
-		if arriving {
-			s += e.x[j]
-			e.seen[b] = s
-		}
-		k := int(t) + 1
-		if tb := e.par.C * bucket.Lemma1Target(k, s); tb > e.best[b] {
+		if tb := e.par.C * bucket.Lemma1Target(1, e.seen[b]); tb > e.best[b] {
 			e.best[b] = tb
 		}
 		return int64(e.best[b]) - e.aInt[j]
 	case e.par.DirectRounding:
-		s := e.seen[b]
-		if arriving {
-			s += e.x[j]
-			e.seen[b] = s
-		}
-		target := e.par.C * math.Sqrt(float64(s))
+		target := e.par.C * math.Sqrt(float64(e.seen[b]))
 		return int64(target) - e.aInt[j]
 	default: // variant C, §4.1 integral algorithm with the I1/I2 shadow
-		s := e.seen[b]
-		if arriving {
-			s += e.x[j]
-			e.seen[b] = s
-		}
-		target := e.par.C * math.Sqrt(float64(s))
-		d := math.Min(e.frac[b], math.Max(0, target-e.aFrac[j]))
+		target := e.par.C * math.Sqrt(float64(e.seen[b]))
+		d := min(e.frac[b], max(0, target-e.aFrac[j]))
 		e.frac[b] -= d
 		e.dropFrac[b] += d
 		e.aFrac[j] += d
@@ -517,78 +447,6 @@ func (e *Engine) dropQuota(b, j int, w, t int64, arriving bool) int64 {
 	}
 }
 
-// visit applies one bucket visit: quota, deposit, and the decision to
-// keep travelling. It returns the forwarded remainder (0 kills the
-// bucket).
-func (e *Engine) visit(b, j int, w, t int64, arriving bool) int64 {
-	var quota int64
-	if t >= int64(e.m) {
-		// Wrap-around balancing (Lemma 5): every bucket is back at its
-		// origin at t == m, knows the whole ring's remaining load, and
-		// drops ceil(remaining/m) per processor from then on. The §4.1
-		// fractional shadow is write-only once balancing starts, so its
-		// bookkeeping is skipped entirely.
-		if t == int64(e.m) {
-			e.perInt[b] = (w + int64(e.m) - 1) / int64(e.m)
-		}
-		quota = e.perInt[b]
-	} else {
-		quota = e.dropQuota(b, j, w, t, arriving)
-	}
-	if quota < 0 {
-		quota = 0
-	}
-	drop := w
-	if quota < drop {
-		drop = quota
-	}
-	if drop > 0 {
-		e.deposit(j, t, drop)
-		if e.dropInt != nil {
-			e.dropInt[b] += drop
-		}
-	}
-	return w - drop
-}
-
-// start runs step 0: every loaded processor launches its bucket(s),
-// dropping at the origin first exactly as the generic nodes' Start
-// does (clockwise before counter-clockwise on bidirectional runs, so
-// the second bucket sees the first one's deposit).
-func (e *Engine) start() {
-	m := e.m
-	if m == 1 {
-		// Degenerate ring: nothing to balance, keep everything.
-		if w := e.x[0]; w > 0 {
-			e.deposit(0, 0, w)
-		}
-		return
-	}
-	variantA := e.par.Variant == bucket.VariantA
-	for i := 0; i < m; i++ {
-		x := e.x[i]
-		if variantA {
-			e.passed[i] = x
-		}
-		if x == 0 {
-			continue
-		}
-		if !e.par.Bidirectional {
-			e.seed(i, x, float64(x))
-			e.launch(i, i, x, ring.Clockwise)
-			continue
-		}
-		// Bidirectional: the payload splits in half (clockwise gets the
-		// odd unit); both buckets know the full origin load x and each
-		// fractional shadow bucket carries half of it.
-		cwWork := (x + 1) / 2
-		e.seed(i, x, float64(x)/2)
-		e.seed(m+i, x, float64(x)/2)
-		e.launch(i, i, cwWork, ring.Clockwise)
-		e.launch(m+i, i, x-cwWork, ring.CounterClockwise)
-	}
-}
-
 // seed initializes a newborn bucket's segment knowledge and fractional
 // shadow for the variants that carry them.
 func (e *Engine) seed(b int, seen int64, frac float64) {
@@ -598,75 +456,6 @@ func (e *Engine) seed(b int, seen int64, frac float64) {
 	if e.frac != nil {
 		e.frac[b] = frac
 	}
-}
-
-// launch performs bucket b's step-0 visit at its origin and enrolls the
-// remainder in the direction's alive list. A zero-work visit still runs
-// the drop rule (the fractional shadow of a bidirectional variant C
-// bucket mutates processor state even when the integral half is empty),
-// matching the generic Start exactly.
-func (e *Engine) launch(b, origin int, w int64, dir ring.Direction) {
-	rest := e.visit(b, origin, w, 0, false)
-	if rest == 0 {
-		return
-	}
-	e.content[b] = rest
-	e.jobHops += rest
-	if e.mc != nil {
-		e.mc.Send(0, origin, dir, rest, rest)
-	}
-	if dir == ring.Clockwise {
-		e.aliveCW = append(e.aliveCW, int32(b))
-	} else {
-		e.aliveCCW = append(e.aliveCCW, int32(b))
-	}
-}
-
-// sweep advances every alive bucket of one direction through step t:
-// delivery at its affine position, the drop rule, and either a forward
-// (content updated in place) or death (swap-removed). This is the whole
-// per-step cost of the engine — O(alive buckets), no allocation.
-func (e *Engine) sweep(alive []int32, cw bool, t int64) []int32 {
-	m := e.m
-	tm := int(t % int64(m))
-	dir := ring.Clockwise
-	if !cw {
-		dir = ring.CounterClockwise
-	}
-	for idx := 0; idx < len(alive); {
-		b := int(alive[idx])
-		var j int
-		if cw {
-			j = b + tm
-			if j >= m {
-				j -= m
-			}
-		} else {
-			j = (b - m) - tm
-			if j < 0 {
-				j += m
-			}
-		}
-		w := e.content[b]
-		e.messages++
-		if e.mc != nil {
-			e.mc.Deliver(t, j, dir, w, w)
-		}
-		rest := e.visit(b, j, w, t, true)
-		if rest > 0 {
-			e.content[b] = rest
-			e.jobHops += rest
-			if e.mc != nil {
-				e.mc.Send(t, j, dir, rest, rest)
-			}
-			idx++
-		} else {
-			last := len(alive) - 1
-			alive[idx] = alive[last]
-			alive = alive[:last]
-		}
-	}
-	return alive
 }
 
 // emitStep hands the collector the same end-of-step snapshot the pool
@@ -687,11 +476,8 @@ func (e *Engine) emitStep(t int64) {
 		}
 	}
 	var inTransit int64
-	for _, b := range e.aliveCW {
-		inTransit += e.content[b]
-	}
-	for _, b := range e.aliveCCW {
-		inTransit += e.content[b]
+	for _, w := range e.content {
+		inTransit += w
 	}
 	e.mc.Step(metrics.StepInfo{
 		T: t, Pools: e.mcPools, Processed: int64(busy), Busy: busy, InTransit: inTransit,

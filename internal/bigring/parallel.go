@@ -1,50 +1,58 @@
 package bigring
 
-// Parallel stepping: the ring is partitioned into workers contiguous
-// processor spans, and every step runs as a fork/join over the spans.
+// Span stepping: the ring is partitioned into workers contiguous
+// processor spans, and every step runs the spans' kernels either inline
+// on the coordinating goroutine or as a fork/join over them.
 //
-// Why this is sound — and bit-identical to the sequential sweep:
+// Why this is sound — and bit-identical at every span count:
 //
-//   - Within one direction at step t, the alive buckets occupy pairwise
-//     distinct processors (the property the sequential engine's
-//     swap-removal already relies on). A bucket's visit touches only
-//     its own per-bucket state (content, seen, best, frac, dropFrac,
-//     dropInt, perInt) and its processor's per-processor state (cur,
-//     aInt, maxPool, passed, aFrac), so the visits of one direction are
+//   - Within one direction at step t, the live buckets occupy pairwise
+//     distinct processors. A bucket's visit touches only its own
+//     per-bucket state (content, seen, best, frac, dropFrac, dropInt,
+//     perInt) and its processor's per-processor state (cur, aInt,
+//     maxPool, passed, aFrac), so the visits of one direction are
 //     pairwise independent: any execution order — including a parallel
 //     one — produces the same memory state. The only cross-bucket
-//     quantities (maxCur, jobHops, messages, the alive count) are a max
-//     and three sums, merged from per-worker accumulators after the
-//     join; int64 max and addition are order-independent.
+//     quantities (maxCur, jobHops, messages, the live count) are a max
+//     and three sums, merged from per-span accumulators after the step;
+//     int64 max and addition are order-independent.
 //   - Clockwise visits must all land before any counter-clockwise one
 //     (a CCW bucket at processor j reads cur/aInt/passed/aFrac that the
 //     CW visit at j may have changed — the generic engine delivers CW
-//     first). Each direction is therefore its own fork/join phase with
-//     a full barrier between them.
+//     first). Each direction is therefore its own phase, with a full
+//     barrier between them when the spans fork.
 //   - Positions are affine in t: at step t the clockwise bucket of
 //     origin o sits at (o+t) mod m and the counter-clockwise bucket m+o
-//     at (o-t) mod m. A worker's processor span [lo,hi) therefore maps
-//     to a contiguous (mod m) window of bucket indices that shifts one
+//     at (o-t) mod m. A span's processor range [lo,hi) therefore maps
+//     to a contiguous (mod m) window of bucket slots that shifts one
 //     slot per step — the "halo exchange" at the span boundary
 //     degenerates to this one-slot window shift plus the step barrier,
 //     with no boundary buffer to fill. The window is walked as at most
-//     two segments contiguous in BOTH processor and bucket index, so
-//     each kernel is a flat pass over adjacent []int64 slots.
+//     two segments contiguous in BOTH processor and bucket index.
 //
-// Liveness is tracked through content[b] > 0 (a dying visit zeroes the
-// slot) instead of the sequential alive lists, so a span pass costs
-// O(span length) per step rather than O(alive). That trade is what
-// buys the contiguous, branch-predictable kernels below; it loses on
-// sparse rings (a lone point-load bucket), which is why Workers == 0
-// stays sequential under ParallelMinM and callers route only huge
-// instances here.
+// Liveness lives in one occupancy bitmap per direction, indexed by
+// origin. Buckets are born only at step 0, so bits are set at launch
+// and only cleared after that, and a segment's kernel visits the set
+// bits of its slots: a step costs O(m/64 + live buckets), not O(m).
+// Launch partitions origins at word boundaries, so no two spans set
+// bits in one word. A later window starts anywhere, so the at most two
+// words a span shares with its neighbours are edge words: the span
+// reads them but records their dead bits in its accumulator, and the
+// coordinator clears those after the join. Every other word the span
+// clears in place.
 //
-// The per-visit variant dispatch of the sequential path (the switch in
-// dropQuota) is hoisted out of the hot loop: each variant gets its own
-// span kernel with the drop-rule floating-point expressions copied
-// verbatim, so one step is a handful of monomorphic batched passes.
+// A step forks only when the previous step left at least fanOutMin
+// buckets live; below that the fork/join costs more than the visits,
+// and the coordinator runs the whole ring as one span. A run that never
+// reaches fanOutMin spawns no goroutine. Table 1 rings (at most 2,000
+// buckets) never fork.
 //
-// Dispatch is allocation-free after the first parallel Step: workers-1
+// One kernel, visitWord, serves every variant: its variant switch takes
+// the same branch on every visit of a run, and inlining the shared tail
+// (drop, forward or die) into it measured about a quarter faster than
+// per-variant kernels calling a shared tail function.
+//
+// Dispatch is allocation-free after the first fork: workers-1
 // goroutines are spawned once (the coordinator runs span 0 inline) and
 // parked on per-worker channels; a step sends one small job value per
 // worker and phase, and channel transfers of such values do not touch
@@ -52,9 +60,21 @@ package bigring
 
 import (
 	"math"
+	"math/bits"
 
 	"ringsched/internal/bucket"
+	"ringsched/internal/ring"
 )
+
+// fanOutMin is the previous step's live-bucket count from which a step
+// forks its spans to the workers. Measured on a 2-vCPU VM (go1.24,
+// GOMAXPROCS 2, dense B rings at m = 12,500 to 10^5, forked and inline
+// steps alternating): at 1,024–2,047 live buckets a forked step cost
+// 26 µs against 21 µs inline, at 2,048–4,095 both cost 46 µs, and on
+// the first steps of dense C1 and A2 runs at m = 10^5, with 16,000 or
+// more live, the forked step was 1.3–1.4× faster. Tests set it to 0
+// (fork every step) or math.MaxInt (never fork); nothing else writes it.
+var fanOutMin = 4096
 
 // parJob is one phase's work order, sent by value to every worker.
 type parJob struct {
@@ -63,27 +83,30 @@ type parJob struct {
 }
 
 // The phase kinds: step 0's launch pass, then per-step clockwise and
-// counter-clockwise sweeps.
+// counter-clockwise passes. The pass kinds double as the bitmap index
+// (kind-jobCW).
 const (
 	jobStart = int8(iota)
-	jobSweepCW
-	jobSweepCCW
+	jobCW
+	jobCCW
 )
 
-// parAcc is one worker's per-step accumulator for the cross-bucket
-// reductions, padded so two workers never share a cache line.
+// parAcc is one span's per-step accumulator for the cross-bucket
+// reductions, plus the dead bits of the at most two bitmap words the
+// span shares with a neighbour in the current phase. It fills one
+// cache line, so two workers never write the same line.
 type parAcc struct {
 	maxCur   int64
 	jobHops  int64
 	messages int64
 	alive    int64
-	_        [4]int64
+	edgeAt   [2]int
+	edge     [2]uint64
 }
 
 // spawn starts the persistent span workers (all but span 0, which the
-// coordinating goroutine runs inline). Called once, lazily, from the
-// first parallel Step — so New stays cheap for engines that are built
-// but never stepped.
+// coordinating goroutine runs). Called once, lazily, from the first
+// forked step — so an engine that never forks spawns nothing.
 func (e *Engine) spawn() {
 	e.spawned = true
 	for i := range e.cmds {
@@ -92,41 +115,55 @@ func (e *Engine) spawn() {
 		w := i + 1
 		go func() {
 			for job := range c {
-				e.runSpan(w, job)
+				e.runSpan(&e.accs[w], e.spanAt[w], e.spanAt[w+1], job)
 				e.joins <- struct{}{}
 			}
 		}()
 	}
 }
 
-// forkJoin runs one phase across all spans and returns when every span
-// has finished it. The channel send/receive pairs carry the
-// happens-before edges that make a phase's writes visible to the next
-// phase's readers (and to the coordinator).
-func (e *Engine) forkJoin(kind int8, t int64) {
-	if !e.spawned {
-		e.spawn()
-	}
+// phase runs one phase, forked across the spans or inline as one
+// whole-ring span, then clears the edge words' dead bits. The channel
+// send/receive pairs carry the happens-before edges that make a forked
+// phase's writes visible to the next phase's readers (and to the
+// coordinator).
+func (e *Engine) phase(kind int8, t int64, fork bool) {
 	job := parJob{kind: kind, t: t}
-	for _, c := range e.cmds {
-		c <- job
+	if !fork {
+		e.runSpan(&e.accs[0], 0, e.m, job)
+	} else {
+		if !e.spawned {
+			e.spawn()
+		}
+		for _, c := range e.cmds {
+			c <- job
+		}
+		e.runSpan(&e.accs[0], e.spanAt[0], e.spanAt[1], job)
+		for range e.cmds {
+			<-e.joins
+		}
 	}
-	e.runSpan(0, job)
-	for range e.cmds {
-		<-e.joins
+	if kind == jobStart {
+		return
+	}
+	live := e.live[kind-jobCW]
+	for i := range e.accs {
+		a := &e.accs[i]
+		for k, dead := range a.edge {
+			live[a.edgeAt[k]] &^= dead
+			a.edge[k] = 0
+		}
 	}
 }
 
-// mergeAccs folds every worker's step accumulator into the engine
-// totals, clears them for the next step, and returns the ring-wide
-// count of buckets still alive.
+// mergeAccs folds every span's step accumulator into the engine totals,
+// clears them for the next step, and returns the ring-wide count of
+// buckets still live.
 func (e *Engine) mergeAccs() int {
 	var alive int64
 	for i := range e.accs {
 		a := &e.accs[i]
-		if a.maxCur > e.maxCur {
-			e.maxCur = a.maxCur
-		}
+		e.maxCur = max(e.maxCur, a.maxCur)
 		e.jobHops += a.jobHops
 		e.messages += a.messages
 		alive += a.alive
@@ -135,27 +172,35 @@ func (e *Engine) mergeAccs() int {
 	return int(alive)
 }
 
-// runSpan executes one phase on worker w's processor span.
-func (e *Engine) runSpan(w int, job parJob) {
-	acc := &e.accs[w]
-	lo, hi := e.spanAt[w], e.spanAt[w+1]
-	switch job.kind {
-	case jobStart:
-		e.startSpan(acc, lo, hi)
-	case jobSweepCW:
-		e.sweepSpan(acc, lo, hi, true, job.t)
-	default:
-		e.sweepSpan(acc, lo, hi, false, job.t)
+// runSpan executes one phase on the processor span [lo, hi).
+func (e *Engine) runSpan(acc *parAcc, lo, hi int, job parJob) {
+	if job.kind == jobStart {
+		// Origins are partitioned at word boundaries, so each span sets
+		// bits only in words it owns.
+		if hi < e.m {
+			hi &^= 63
+		}
+		e.launchSpan(acc, lo&^63, hi)
+		return
 	}
+	e.stepSpan(acc, lo, hi, int(job.kind-jobCW), job.t)
 }
 
-// startSpan is start() restricted to origins [lo, hi): every step-0
-// visit of origin i touches only processor i and buckets i / m+i, so
-// origins partition cleanly. The clockwise launch stays before the
-// counter-clockwise one per origin, preserving the order in which the
-// second bucket observes the first one's deposit.
-func (e *Engine) startSpan(acc *parAcc, lo, hi int) {
+// launchSpan runs step 0 for origins [lo, hi): every loaded processor
+// launches its bucket(s), dropping at the origin first exactly as the
+// generic nodes' Start does (clockwise before counter-clockwise on
+// bidirectional runs, so the second bucket sees the first one's
+// deposit). Origin i touches only processor i and buckets i / m+i, so
+// origins partition cleanly.
+func (e *Engine) launchSpan(acc *parAcc, lo, hi int) {
 	m := e.m
+	if m == 1 {
+		// Degenerate ring: nothing to balance, keep everything.
+		if w := e.x[0]; w > 0 {
+			e.depositAcc(acc, 0, 0, w)
+		}
+		return
+	}
 	variantA := e.par.Variant == bucket.VariantA
 	for i := lo; i < hi; i++ {
 		x := e.x[i]
@@ -167,74 +212,96 @@ func (e *Engine) startSpan(acc *parAcc, lo, hi int) {
 		}
 		if !e.par.Bidirectional {
 			e.seed(i, x, float64(x))
-			e.launchSpan(acc, i, i, x)
+			e.launch(acc, i, i, x)
 			continue
 		}
+		// Bidirectional: the payload splits in half (clockwise gets the
+		// odd unit); both buckets know the full origin load x and each
+		// fractional shadow bucket carries half of it.
 		cwWork := (x + 1) / 2
 		e.seed(i, x, float64(x)/2)
 		e.seed(m+i, x, float64(x)/2)
-		e.launchSpan(acc, i, i, cwWork)
-		e.launchSpan(acc, m+i, i, x-cwWork)
+		e.launch(acc, i, i, cwWork)
+		e.launch(acc, m+i, i, x-cwWork)
 	}
 }
 
-// launchSpan is launch()'s parallel twin: the step-0 origin visit with
-// accumulator-based accounting, enrolling a surviving bucket by leaving
-// its remainder in content[b]. Step 0 always precedes the balancing
-// regime (parallel engines have m >= 2), so the quota is the variant
-// drop rule directly.
-func (e *Engine) launchSpan(acc *parAcc, b, origin int, w int64) {
-	quota := e.dropQuota(b, origin, w, 0, false)
-	if quota < 0 {
-		quota = 0
+// launch performs bucket b's step-0 visit at its origin and, if work
+// remains, sets its bit. A zero-work visit still runs the drop rule
+// (the fractional shadow of a bidirectional variant C bucket mutates
+// processor state even when the integral half is empty), matching the
+// generic Start exactly.
+func (e *Engine) launch(acc *parAcc, b, origin int, w int64) {
+	rest := e.drop(acc, b, origin, w, e.launchQuota(b, origin), 0)
+	if rest == 0 {
+		return
 	}
-	drop := w
-	if quota < drop {
-		drop = quota
+	e.content[b] = rest
+	acc.jobHops += rest
+	acc.alive++
+	e.live[b/e.m][origin>>6] |= 1 << (origin & 63)
+	if e.mc != nil {
+		e.mc.Send(0, origin, dirOf(b, e.m), rest, rest)
 	}
-	if drop > 0 {
-		e.depositAcc(acc, origin, 0, drop)
+}
+
+// drop deposits bucket b's share of w at processor j during step t —
+// quota clamped to [0, w] — and returns what the bucket keeps.
+func (e *Engine) drop(acc *parAcc, b, j int, w, quota, t int64) int64 {
+	d := min(w, max(quota, 0))
+	if d > 0 {
+		e.depositAcc(acc, j, t, d)
 		if e.dropInt != nil {
-			e.dropInt[b] += drop
+			e.dropInt[b] += d
 		}
 	}
-	if rest := w - drop; rest > 0 {
-		e.content[b] = rest
-		acc.jobHops += rest
-		acc.alive++
-	}
+	return w - d
 }
 
-// depositAcc is deposit() with the makespan fed through the worker's
-// accumulator instead of the shared field; everything else it writes is
-// owned by processor j for the duration of the phase.
+// depositAcc drops w units at processor j during step t: the lazy
+// rate-1 server absorbs it, and the intake and peak-pool accounting
+// update in place, with the makespan fed through the span's
+// accumulator. Pool occupancy at the generic engine's measurement point
+// (phase 2 of step t, after all of the step's deliveries) is cur-t, and
+// taking the max after every deposit of the step yields exactly that
+// value.
 func (e *Engine) depositAcc(acc *parAcc, j int, t, w int64) {
-	c := e.cur[j]
-	if c < t {
-		c = t
-	}
-	c += w
+	c := max(e.cur[j], t) + w
 	e.cur[j] = c
 	e.aInt[j] += w
-	if c > acc.maxCur {
-		acc.maxCur = c
-	}
-	if p := c - t; p > e.maxPool[j] {
-		e.maxPool[j] = p
+	acc.maxCur = max(acc.maxCur, c)
+	e.maxPool[j] = max(e.maxPool[j], c-t)
+}
+
+// emitVisit reports one visit to the collector: the delivery, and the
+// send if the bucket lives on.
+func (e *Engine) emitVisit(b, j int, w, rest, t int64) {
+	dir := dirOf(b, e.m)
+	e.mc.Deliver(t, j, dir, w, w)
+	if rest > 0 {
+		e.mc.Send(t, j, dir, rest, rest)
 	}
 }
 
-// sweepSpan advances one direction's buckets across the span's
+// dirOf is bucket b's direction: clockwise buckets are indexed below m.
+func dirOf(b, m int) ring.Direction {
+	if b < m {
+		return ring.Clockwise
+	}
+	return ring.CounterClockwise
+}
+
+// stepSpan advances direction d's buckets across the span's
 // processors for step t. The affine position map is inverted once: the
 // span's processor range [lo, hi) is split at the single point where
 // the bucket index wraps mod m, yielding at most two segments that are
 // contiguous in processor AND bucket index with a constant offset
-// between the two — the form the batched kernels want.
-func (e *Engine) sweepSpan(acc *parAcc, lo, hi int, cw bool, t int64) {
+// between the two.
+func (e *Engine) stepSpan(acc *parAcc, lo, hi, d int, t int64) {
 	m := e.m
 	tm := int(t % int64(m))
 	var segs [2][3]int // {jStart, jEnd, bucketOffset}: b = j + offset
-	if cw {
+	if d == 0 {
 		// Clockwise bucket at processor j is b = (j - tm) mod m,
 		// wrapping at j == tm.
 		segs[0] = [3]int{lo, min(hi, tm), m - tm}
@@ -245,223 +312,119 @@ func (e *Engine) sweepSpan(acc *parAcc, lo, hi int, cw bool, t int64) {
 		segs[0] = [3]int{lo, min(hi, m-tm), m + tm}
 		segs[1] = [3]int{max(lo, m-tm), hi, tm}
 	}
-	balancing := t >= int64(m)
 	for _, sg := range segs {
-		j0, j1, off := sg[0], sg[1], sg[2]
-		if j0 >= j1 {
+		if sg[0] < sg[1] {
+			base := sg[2] - d*m // slot = j + base
+			e.walk(acc, d, sg[0]+base, sg[1]+base, sg[2], t)
+		}
+	}
+}
+
+// walk visits the live buckets in slots [s0, s1) of direction d's
+// bitmap, one word at a time, and clears the bits of those that die.
+// Bucket b = d*m + slot sits at processor j = b - off. A word that
+// reaches outside [s0, s1) may be shared with a neighbouring span, so
+// its dead bits wait in the accumulator for the coordinator; the
+// bitmap's end at m is shared with nobody.
+func (e *Engine) walk(acc *parAcc, d, s0, s1, off int, t int64) {
+	live := e.live[d]
+	bucketAt := d * e.m
+	for wi := s0 >> 6; wi<<6 < s1; wi++ {
+		lo := wi << 6
+		word := live[wi]
+		if lo < s0 {
+			word &= ^uint64(0) << (s0 - lo)
+		}
+		if lo+64 > s1 {
+			word &= ^uint64(0) >> (lo + 64 - s1)
+		}
+		if word == 0 {
 			continue
 		}
+		dead := e.visitWord(acc, word, bucketAt+lo, off, t)
+		switch {
+		case dead == 0:
+		case lo < s0:
+			acc.edgeAt[0], acc.edge[0] = wi, dead
+		case lo+64 > s1 && s1 != e.m:
+			acc.edgeAt[1], acc.edge[1] = wi, dead
+		default:
+			live[wi] &^= dead
+		}
+	}
+}
+
+// visitWord visits the set bits of one bitmap word — bucket b = b0 +
+// bit at processor j = b - off — and returns the bits of the buckets
+// that died. The variant switch is the same on every visit, so it
+// costs one predicted branch. The drop-rule floating-point expressions
+// are copied from internal/bucket's dropAndForward, as in launchQuota,
+// so results stay bit-identical.
+func (e *Engine) visitWord(acc *parAcc, word uint64, b0, off int, t int64) (dead uint64) {
+	cpar := e.par.C
+	mm := int64(e.m)
+	balancing := t >= mm
+	for ; word != 0; word &= word - 1 {
+		bit := bits.TrailingZeros64(word)
+		b := b0 + bit
+		j := b - off
+		w := e.content[b]
+		var quota int64
 		switch {
 		case balancing:
-			e.spanBalance(acc, j0, j1, off, t)
-		case e.par.Variant == bucket.VariantA:
-			e.spanA(acc, j0, j1, off, t)
-		case e.par.Variant == bucket.VariantB:
-			e.spanB(acc, j0, j1, off, t)
-		case e.par.DirectRounding:
-			e.spanDR(acc, j0, j1, off, t)
-		default:
-			e.spanC(acc, j0, j1, off, t)
-		}
-	}
-}
-
-// Each span kernel below is one contiguous batched pass: bucket b =
-// j + off for j in [j0, j1), content[b] == 0 marking a dead slot. The
-// drop-rule floating-point expressions are copied verbatim from
-// dropQuota so parallel results stay bit-identical, and the shared
-// tail (clamp, deposit, forward-or-die) is inlined in each kernel to
-// keep the loops monomorphic.
-
-// spanA: variant A — target C*sqrt(work seen passing), minus the
-// current pool occupancy.
-func (e *Engine) spanA(acc *parAcc, j0, j1, off int, t int64) {
-	cpar := e.par.C
-	for j := j0; j < j1; j++ {
-		b := j + off
-		w := e.content[b]
-		if w == 0 {
-			continue
-		}
-		acc.messages++
-		p := e.passed[j] + w
-		e.passed[j] = p
-		target := cpar * math.Sqrt(float64(p))
-		pool := e.cur[j] - t
-		if pool < 0 {
-			pool = 0
-		}
-		quota := int64(target) - pool
-		if quota < 0 {
-			quota = 0
-		}
-		drop := w
-		if quota < drop {
-			drop = quota
-		}
-		if drop > 0 {
-			e.depositAcc(acc, j, t, drop)
-		}
-		if rest := w - drop; rest > 0 {
-			e.content[b] = rest
-			acc.jobHops += rest
-			acc.alive++
-		} else {
-			e.content[b] = 0
-		}
-	}
-}
-
-// spanB: variant B — the monotone Lemma 1 target over the segment seen
-// so far, minus the processor's cumulative intake.
-func (e *Engine) spanB(acc *parAcc, j0, j1, off int, t int64) {
-	cpar := e.par.C
-	k := int(t) + 1
-	for j := j0; j < j1; j++ {
-		b := j + off
-		w := e.content[b]
-		if w == 0 {
-			continue
-		}
-		acc.messages++
-		s := e.seen[b] + e.x[j]
-		e.seen[b] = s
-		if tb := cpar * bucket.Lemma1Target(k, s); tb > e.best[b] {
-			e.best[b] = tb
-		}
-		quota := int64(e.best[b]) - e.aInt[j]
-		if quota < 0 {
-			quota = 0
-		}
-		drop := w
-		if quota < drop {
-			drop = quota
-		}
-		if drop > 0 {
-			e.depositAcc(acc, j, t, drop)
-		}
-		if rest := w - drop; rest > 0 {
-			e.content[b] = rest
-			acc.jobHops += rest
-			acc.alive++
-		} else {
-			e.content[b] = 0
-		}
-	}
-}
-
-// spanDR: direct rounding — integer part of C*sqrt(seen) minus intake.
-func (e *Engine) spanDR(acc *parAcc, j0, j1, off int, t int64) {
-	cpar := e.par.C
-	for j := j0; j < j1; j++ {
-		b := j + off
-		w := e.content[b]
-		if w == 0 {
-			continue
-		}
-		acc.messages++
-		s := e.seen[b] + e.x[j]
-		e.seen[b] = s
-		quota := int64(cpar*math.Sqrt(float64(s))) - e.aInt[j]
-		if quota < 0 {
-			quota = 0
-		}
-		drop := w
-		if quota < drop {
-			drop = quota
-		}
-		if drop > 0 {
-			e.depositAcc(acc, j, t, drop)
-		}
-		if rest := w - drop; rest > 0 {
-			e.content[b] = rest
-			acc.jobHops += rest
-			acc.alive++
-		} else {
-			e.content[b] = 0
-		}
-	}
-}
-
-// spanC: variant C — the §4.1 integral algorithm with its fractional
-// I1/I2 shadow.
-func (e *Engine) spanC(acc *parAcc, j0, j1, off int, t int64) {
-	cpar := e.par.C
-	for j := j0; j < j1; j++ {
-		b := j + off
-		w := e.content[b]
-		if w == 0 {
-			continue
-		}
-		acc.messages++
-		s := e.seen[b] + e.x[j]
-		e.seen[b] = s
-		target := cpar * math.Sqrt(float64(s))
-		d := math.Min(e.frac[b], math.Max(0, target-e.aFrac[j]))
-		e.frac[b] -= d
-		e.dropFrac[b] += d
-		e.aFrac[j] += d
-		i1 := int64(math.Ceil(e.dropFrac[b])) - e.dropInt[b]
-		i2 := 1 + int64(math.Ceil(e.aFrac[j])) - e.aInt[j]
-		quota := i1
-		if i2 < i1 {
-			quota = i2
-		}
-		if quota < 0 {
-			quota = 0
-		}
-		drop := w
-		if quota < drop {
-			drop = quota
-		}
-		if drop > 0 {
-			e.depositAcc(acc, j, t, drop)
-			e.dropInt[b] += drop
-		}
-		if rest := w - drop; rest > 0 {
-			e.content[b] = rest
-			acc.jobHops += rest
-			acc.alive++
-		} else {
-			e.content[b] = 0
-		}
-	}
-}
-
-// spanBalance: the wrap-around regime (t >= m) shared by every variant
-// — ceil(remaining/m) per processor, fixed per bucket at t == m.
-func (e *Engine) spanBalance(acc *parAcc, j0, j1, off int, t int64) {
-	mm := int64(e.m)
-	atM := t == mm
-	dropInt := e.dropInt
-	for j := j0; j < j1; j++ {
-		b := j + off
-		w := e.content[b]
-		if w == 0 {
-			continue
-		}
-		acc.messages++
-		quota := e.perInt[b]
-		if atM {
-			quota = (w + mm - 1) / mm
-			e.perInt[b] = quota
-		}
-		drop := w
-		if quota < drop {
-			drop = quota
-		}
-		if drop > 0 {
-			e.depositAcc(acc, j, t, drop)
-			if dropInt != nil {
-				dropInt[b] += drop
+			// Wrap-around balancing (Lemma 5): every bucket is back at
+			// its origin at t == m and drops ceil(remaining/m) per
+			// processor from then on. The §4.1 fractional shadow is
+			// write-only from here, so its bookkeeping is skipped.
+			if t == mm {
+				e.perInt[b] = (w + mm - 1) / mm
 			}
+			quota = e.perInt[b]
+		case e.par.Variant == bucket.VariantA:
+			// Target C*sqrt(work seen passing), minus the current pool.
+			p := e.passed[j] + w
+			e.passed[j] = p
+			target := cpar * math.Sqrt(float64(p))
+			quota = int64(target) - max(e.cur[j]-t, 0)
+		case e.par.Variant == bucket.VariantB:
+			// The monotone Lemma 1 target over the segment seen so far,
+			// minus the processor's cumulative intake.
+			s := e.seen[b] + e.x[j]
+			e.seen[b] = s
+			if tb := cpar * bucket.Lemma1Target(int(t)+1, s); tb > e.best[b] {
+				e.best[b] = tb
+			}
+			quota = int64(e.best[b]) - e.aInt[j]
+		case e.par.DirectRounding:
+			s := e.seen[b] + e.x[j]
+			e.seen[b] = s
+			quota = int64(cpar*math.Sqrt(float64(s))) - e.aInt[j]
+		default:
+			// Variant C: the §4.1 integral algorithm with its fractional
+			// I1/I2 shadow.
+			s := e.seen[b] + e.x[j]
+			e.seen[b] = s
+			target := cpar * math.Sqrt(float64(s))
+			d := min(e.frac[b], max(0, target-e.aFrac[j]))
+			e.frac[b] -= d
+			e.dropFrac[b] += d
+			e.aFrac[j] += d
+			i1 := int64(math.Ceil(e.dropFrac[b])) - e.dropInt[b]
+			i2 := 1 + int64(math.Ceil(e.aFrac[j])) - e.aInt[j]
+			quota = min(i1, i2)
 		}
-		if rest := w - drop; rest > 0 {
-			e.content[b] = rest
-			acc.jobHops += rest
-			acc.alive++
-		} else {
-			e.content[b] = 0
+		acc.messages++
+		rest := e.drop(acc, b, j, w, quota, t)
+		if e.mc != nil {
+			e.emitVisit(b, j, w, rest, t)
 		}
+		e.content[b] = rest
+		if rest == 0 {
+			dead |= 1 << bit
+			continue
+		}
+		acc.jobHops += rest
+		acc.alive++
 	}
+	return dead
 }

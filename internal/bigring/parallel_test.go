@@ -3,6 +3,7 @@ package bigring
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -17,20 +18,42 @@ import (
 )
 
 // parallelWorkerCounts are the span counts the equivalence tests force,
-// chosen to hit every partition shape: the sequential reference (1),
-// even and odd counts, counts that do not divide m, and counts larger
-// than small rings (where the engine caps spans at m — the m < P
-// boundary).
-var parallelWorkerCounts = []int{1, 2, 3, 7, 8, 16, 600}
+// chosen to hit every partition shape: even and odd counts, counts that
+// do not divide m, and counts larger than small rings (where the engine
+// caps spans at m — the m < P boundary). Span boundaries then fall
+// inside bitmap words, which spans share, and on word boundaries.
+var parallelWorkerCounts = []int{2, 3, 7, 8, 16, 600}
 
-// runSeq runs the sequential reference for an instance/spec pair.
+// runSeq runs the one-span reference for an instance/spec pair.
 func runSeq(t *testing.T, in instance.Instance, spec bucket.Spec) sim.Result {
 	t.Helper()
 	res, err := Run(in, spec, Options{Workers: 1})
 	if err != nil {
-		t.Fatalf("%s/m%d: sequential run: %v", spec.Name(), in.M, err)
+		t.Fatalf("%s/m%d: one-span run: %v", spec.Name(), in.M, err)
 	}
 	return res
+}
+
+// eachFanOut runs f twice: with every step forked across the spans, and
+// with every step run inline. The live-count rule alone would never fork
+// on these small rings. It restores the threshold afterwards.
+func eachFanOut(f func(mode string)) {
+	old := fanOutMin
+	defer func() { fanOutMin = old }()
+	for _, mode := range []struct {
+		name string
+		min  int
+	}{{"fork", 0}, {"inline", math.MaxInt}} {
+		fanOutMin = mode.min
+		f(mode.name)
+	}
+}
+
+// forceFork makes every step of the test fork across its spans.
+func forceFork(t testing.TB) {
+	old := fanOutMin
+	fanOutMin = 0
+	t.Cleanup(func() { fanOutMin = old })
 }
 
 // requireEqualResults compares every field of two Results (the slices
@@ -55,26 +78,25 @@ func requireEqualResults(t *testing.T, name string, got, want sim.Result) {
 	}
 }
 
-// TestParallelMatchesSequential is the tentpole claim: span-partitioned
-// stepping is bit-identical to the sequential engine at every worker
-// count, across every algorithm variant and the whole differential
+// TestParallelMatchesSequential is the span engine's core claim:
+// stepping is bit-identical to one span at every span count, forked or
+// inline, across every algorithm variant and the whole differential
 // corpus (which TestDifferentialAgainstSim already ties to the pool
 // engine).
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, spec := range allSpecs() {
 		for _, in := range testInstances(t) {
 			want := runSeq(t, in, spec)
-			for _, w := range parallelWorkerCounts {
-				if w == 1 {
-					continue
+			eachFanOut(func(mode string) {
+				for _, w := range parallelWorkerCounts {
+					name := fmt.Sprintf("%s/m%d/n%d/w%d/%s", spec.Name(), in.M, in.TotalWork(), w, mode)
+					got, err := Run(in, spec, Options{Workers: w})
+					if err != nil {
+						t.Fatalf("%s: span run: %v", name, err)
+					}
+					requireEqualResults(t, name, got, want)
 				}
-				name := fmt.Sprintf("%s/m%d/n%d/w%d", spec.Name(), in.M, in.TotalWork(), w)
-				got, err := Run(in, spec, Options{Workers: w})
-				if err != nil {
-					t.Fatalf("%s: parallel run: %v", name, err)
-				}
-				requireEqualResults(t, name, got, want)
-			}
+			})
 		}
 	}
 }
@@ -88,35 +110,37 @@ func TestParallelPartitionBoundaries(t *testing.T) {
 		in := workload.Uniform(m, 60, int64(3*m+1))
 		for _, spec := range []bucket.Spec{bucket.C1(), bucket.A2(), bucket.B2()} {
 			want := runSeq(t, in, spec)
-			for _, w := range []int{2, m - 1, m, m + 7, 4 * m} {
-				if w < 2 {
-					continue
+			eachFanOut(func(mode string) {
+				for _, w := range []int{2, m - 1, m, m + 7, 4 * m} {
+					if w < 2 {
+						continue
+					}
+					name := fmt.Sprintf("%s/m%d/w%d/%s", spec.Name(), m, w, mode)
+					e, err := New(in, spec, Options{Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantW := min(w, m); e.Workers() != wantW {
+						t.Fatalf("%s: Workers() = %d, want %d", name, e.Workers(), wantW)
+					}
+					for !e.Step() {
+					}
+					got, err := e.Result()
+					e.Close()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					requireEqualResults(t, name, got, want)
 				}
-				name := fmt.Sprintf("%s/m%d/w%d", spec.Name(), m, w)
-				e, err := New(in, spec, Options{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantW := min(w, m); e.Workers() != wantW {
-					t.Fatalf("%s: Workers() = %d, want %d", name, e.Workers(), wantW)
-				}
-				for !e.Step() {
-				}
-				got, err := e.Result()
-				e.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				requireEqualResults(t, name, got, want)
-			}
+			})
 		}
 	}
 }
 
 // TestParallelSeededProperty is the randomized property check: random
-// rings (sizes, loads, zero-runs) under random variants and worker
-// counts must reproduce the sequential result exactly. The seed is
-// fixed, so a failure replays.
+// rings (sizes, loads, zero-runs) under random variants and span counts
+// must reproduce the one-span result exactly, forked and inline. The
+// seed is fixed, so a failure replays.
 func TestParallelSeededProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	specs := allSpecs()
@@ -139,19 +163,22 @@ func TestParallelSeededProperty(t *testing.T) {
 		in := instance.NewUnit(loads)
 		spec := specs[rng.Intn(len(specs))]
 		w := 2 + rng.Intn(12)
-		name := fmt.Sprintf("iter%d/%s/m%d/w%d", i, spec.Name(), m, w)
 		want := runSeq(t, in, spec)
-		got, err := Run(in, spec, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		requireEqualResults(t, name, got, want)
+		eachFanOut(func(mode string) {
+			name := fmt.Sprintf("iter%d/%s/m%d/w%d/%s", i, spec.Name(), m, w, mode)
+			got, err := Run(in, spec, Options{Workers: w})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireEqualResults(t, name, got, want)
+		})
 	}
 }
 
 // FuzzParallelEquivalence fuzzes the partition geometry directly: ring
-// size, load seed and worker count. The seed corpus covers the
-// boundary shapes; `go test` runs the corpus, `go test -fuzz` explores.
+// size, load seed and span count, each forked and inline. The seed
+// corpus covers the boundary shapes; `go test` runs the corpus,
+// `go test -fuzz` explores.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(uint16(2), int64(1), uint8(2), uint8(0))
 	f.Add(uint16(3), int64(7), uint8(8), uint8(2))  // m < P
@@ -184,21 +211,23 @@ func FuzzParallelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(in, spec, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s/m%d/w%d: parallel result differs\n got  %+v\n want %+v",
-				spec.Name(), m, w, got, want)
-		}
+		eachFanOut(func(mode string) {
+			got, err := Run(in, spec, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/m%d/w%d/%s: span result differs\n got  %+v\n want %+v",
+					spec.Name(), m, w, mode, got, want)
+			}
+		})
 	})
 }
 
 // TestParallelCollectorFallsBack pins the documented degrade: a
-// collector forces sequential stepping (its stream is ordered), so the
-// Summary equality the sequential differential test proves carries
-// over trivially — and the results still match.
+// collector forces one span (its stream is ordered), so the Summary
+// equality the differential test proves carries over trivially — and
+// the results still match.
 func TestParallelCollectorFallsBack(t *testing.T) {
 	in := workload.Uniform(64, 25, 11)
 	rm := metrics.New(metrics.Opts{})
@@ -208,7 +237,7 @@ func TestParallelCollectorFallsBack(t *testing.T) {
 	}
 	defer e.Close()
 	if e.Workers() != 1 {
-		t.Fatalf("Workers() with a collector = %d, want 1 (sequential fallback)", e.Workers())
+		t.Fatalf("Workers() with a collector = %d, want 1 (one-span fallback)", e.Workers())
 	}
 	for !e.Step() {
 	}
@@ -219,9 +248,10 @@ func TestParallelCollectorFallsBack(t *testing.T) {
 	requireEqualResults(t, "collector-fallback", got, runSeq(t, in, bucket.C1()))
 }
 
-// TestParallelStepLimitParity holds MaxSteps behavior identical in
-// parallel mode: same sentinel, same truncation point.
+// TestParallelStepLimitParity holds MaxSteps behavior identical on
+// forked steps: same sentinel, same truncation point.
 func TestParallelStepLimitParity(t *testing.T) {
+	forceFork(t)
 	in := workload.Point(8, 400)
 	_, seqErr := Run(in, bucket.C1(), Options{MaxSteps: 5, Workers: 1})
 	_, parErr := Run(in, bucket.C1(), Options{MaxSteps: 5, Workers: 4})
@@ -233,9 +263,10 @@ func TestParallelStepLimitParity(t *testing.T) {
 	}
 }
 
-// TestParallelReset proves Reset rewinds a parallel engine for an
+// TestParallelReset proves Reset rewinds a forking engine for an
 // identical rerun — the workers persist across resets.
 func TestParallelReset(t *testing.T) {
+	forceFork(t)
 	in := workload.Uniform(128, 30, 3)
 	e, err := New(in, bucket.A2(), Options{Workers: 4})
 	if err != nil {
@@ -261,9 +292,10 @@ func TestParallelReset(t *testing.T) {
 }
 
 // TestParallelClose pins the lifecycle: Close is idempotent, safe on a
-// never-stepped engine and on a sequential one, and Run leaks no
+// never-stepped engine and on a one-span one, and Run leaks no
 // goroutines (it closes its engine).
 func TestParallelClose(t *testing.T) {
+	forceFork(t)
 	in := workload.Uniform(64, 10, 5)
 	e, err := New(in, bucket.C1(), Options{Workers: 4})
 	if err != nil {
@@ -275,7 +307,7 @@ func TestParallelClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq.Close() // no-op on a sequential engine
+	seq.Close() // no-op on a one-span engine
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
@@ -290,5 +322,25 @@ func TestParallelClose(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Errorf("goroutines after 5 parallel Runs: %d, was %d before (worker leak)", g, before)
+	}
+}
+
+// TestSmallRingsNeverFork pins the live-count rule's promise: no Table 1
+// ring (at most 2,000 buckets) reaches fanOutMin, so a suite run at any
+// span count spawns no goroutine and cannot oversubscribe the machine.
+func TestSmallRingsNeverFork(t *testing.T) {
+	for _, c := range workload.Suite() {
+		for _, spec := range []bucket.Spec{bucket.A1(), bucket.B2(), bucket.C2()} {
+			e, err := New(c.In, spec, Options{Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !e.Step() {
+			}
+			e.Close()
+			if e.spawned {
+				t.Fatalf("%s/%s: an m=%d ring forked its spans", c.ID, spec.Name(), c.In.M)
+			}
+		}
 	}
 }

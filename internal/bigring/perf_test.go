@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ringsched/internal/bucket"
+	"ringsched/internal/instance"
 	"ringsched/internal/sim"
 	"ringsched/internal/workload"
 )
@@ -31,18 +32,19 @@ func TestStepAllocFree(t *testing.T) {
 			for !e.Step() {
 			}
 		})
+		e.Close()
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", spec.Name(), allocs)
 		}
 	}
 }
 
-// TestParallelStepAllocFree extends the zero-alloc claim to the
-// span-partitioned mode: after the first Step has spawned the
-// persistent workers, every further Step — fork, span sweeps, join,
-// merge — is allocation-free. AllocsPerRun's warmup run absorbs the
-// one-time spawn.
+// TestParallelStepAllocFree extends the zero-alloc claim to forked
+// steps: after the first Step has spawned the persistent workers, every
+// further Step — fork, span passes, join, merge — is allocation-free.
+// AllocsPerRun's warmup run absorbs the one-time spawn.
 func TestParallelStepAllocFree(t *testing.T) {
+	forceFork(t)
 	for _, spec := range []bucket.Spec{bucket.C1(), bucket.A2(), bucket.B2()} {
 		in := workload.Uniform(4096, 60, 9)
 		e, err := New(in, spec, Options{Workers: 4})
@@ -68,7 +70,7 @@ func TestParallelStepAllocFree(t *testing.T) {
 // exists for: on a big ring the big-ring engine must advance a step at
 // least 5x faster than the pool engine. The structural gap is far
 // larger — the pool engine scans all m processors every step while the
-// big-ring engine touches only alive buckets (a point load has one) —
+// big-ring engine touches only live buckets (a point load has one) —
 // so the 5x bar holds with orders of magnitude to spare on any machine.
 func TestStepFasterThanPoolEngine(t *testing.T) {
 	if testing.Short() {
@@ -106,6 +108,7 @@ func TestStepFasterThanPoolEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer e.Close()
 		for i := 0; i < steps; i++ {
 			if e.Step() {
 				t.Fatal("big-ring engine finished early")
@@ -116,6 +119,47 @@ func TestStepFasterThanPoolEngine(t *testing.T) {
 	if float64(simTime) < 5*float64(bigTime) {
 		t.Errorf("big-ring engine only %.1fx faster per step (pool %v vs bigring %v for %d steps at m=%d), want >= 5x",
 			float64(simTime)/float64(bigTime), simTime, bigTime, steps, m)
+	}
+}
+
+// TestSparseStepCostsLiveBuckets pins that a step costs what its live
+// buckets cost, not what the ring's slots cost: after launch, a point
+// load's step (one or two live buckets) must take under 1/50 of a dense
+// ring's step, at a size where the spans exist and may fork.
+func TestSparseStepCostsLiveBuckets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	const m = 1 << 17
+	// perStep is the best of 3 mean costs of steps 1..steps of a fresh
+	// engine; step 0 (the launch) is not timed.
+	perStep := func(in instance.Instance, spec bucket.Spec, steps int) time.Duration {
+		bestD := time.Duration(1<<63 - 1)
+		for trial := 0; trial < 3; trial++ {
+			e, err := New(in, spec, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Step()
+			start := time.Now()
+			for i := 0; i < steps; i++ {
+				if e.Step() {
+					t.Fatalf("%s: run ended before step %d", spec.Name(), i+1)
+				}
+			}
+			d := time.Since(start) / time.Duration(steps)
+			e.Close()
+			bestD = min(bestD, d)
+		}
+		return bestD
+	}
+	for _, spec := range []bucket.Spec{bucket.C1(), bucket.A2()} {
+		sparse := perStep(workload.Point(m, 40*m), spec, 256)
+		dense := perStep(workload.Uniform(m, 100, 7), spec, 8)
+		if sparse*50 > dense {
+			t.Errorf("%s: a sparse step costs 1/%.0f of a dense one (%v vs %v at m=%d), want under 1/50",
+				spec.Name(), float64(dense)/float64(sparse), sparse, dense, m)
+		}
 	}
 }
 
@@ -130,6 +174,7 @@ func BenchmarkBigRingStep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer e.Close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -143,10 +188,10 @@ func BenchmarkBigRingStep(b *testing.B) {
 }
 
 // BenchmarkBigRingStepParallel is the package-local twin of
-// cmd/ringbench's bigring_par suite: steady-state stepping with the
-// ring split across persistent workers. On a single-core box the w>1
-// rows show dispatch overhead, not speedup; the ns/step ratio against
-// w1 is the number BENCH_0003 pins.
+// cmd/ringbench's bigring_par suite: steady-state stepping at pinned
+// span counts. On a single-core box the w>1 rows show dispatch
+// overhead, not speedup; the ns/step ratio against w1 is the number
+// BENCH_0003 pins.
 func BenchmarkBigRingStepParallel(b *testing.B) {
 	for _, spec := range []bucket.Spec{bucket.C1(), bucket.A2()} {
 		for _, m := range []int{100_000, 1_000_000} {

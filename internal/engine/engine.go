@@ -140,7 +140,7 @@ func Names() string { return names }
 func (e *Engine) Index() int { return e.index }
 
 // runBigRing runs a bucket algorithm on the flat-array engine, whose own
-// rule picks sequential or span stepping from the ring size. Like sim it
+// rule forks its spans only while many buckets are live. Like sim it
 // checks opts.Ctx before every step.
 func runBigRing(in instance.Instance, alg sim.Algorithm, opts sim.Options) (sim.Result, error) {
 	spec, ok := alg.(bucket.Spec)

@@ -12,6 +12,7 @@ import (
 	"ringsched/internal/engine"
 	"ringsched/internal/instance"
 	"ringsched/internal/lb"
+	"ringsched/internal/workload"
 )
 
 // denseUnit builds a unit instance with every processor loaded — the
@@ -280,13 +281,14 @@ func TestOnlineScheduleStopsWithItsRequest(t *testing.T) {
 }
 
 // TestBigRingScheduleStopsWithItsRequest pins the same for the big-ring
-// engine, which checks its request's context before every step.
+// engine, which checks its request's context before every step. Dense
+// B2 at m = 10^5 keeps thousands of buckets circling for about m steps,
+// seconds of work; a point load would finish within the deadline now
+// that a step costs only its live buckets.
 func TestBigRingScheduleStopsWithItsRequest(t *testing.T) {
-	works := make([]int64, 100_000)
-	works[0] = 9_000_000
 	requireStopsWithItsRequest(t, ScheduleRequest{
-		Instance:  unitInstance(t, works),
-		Algorithm: "A1",
+		Instance:  workload.Uniform(100_000, 100, 7),
+		Algorithm: "B2",
 		Options:   RequestOptions{Engine: "bigring"},
 	}, "bigring", 200*time.Millisecond)
 }
@@ -294,8 +296,8 @@ func TestBigRingScheduleStopsWithItsRequest(t *testing.T) {
 // requireStopsWithItsRequest posts req with a 50 ms deadline to a
 // one-worker server. The run outlives the deadline by far, so the
 // request must answer 504, free its worker within bound of the 504 (an
-// uncancelable run of this size holds it for about half a second or
-// more), and not be counted as a compute of engine eng.
+// uncancelable run of this size holds it for seconds), and not be
+// counted as a compute of engine eng.
 func requireStopsWithItsRequest(t *testing.T, req ScheduleRequest, eng string, bound time.Duration) {
 	t.Helper()
 	s := newTestServer(t, Config{Workers: 1})
